@@ -10,12 +10,13 @@ from .core import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError, CmxError,
                    require_valid, validate)
 from .oracles import (IlpWitness, RandomSpec, ilp_brute_force,
                       pivot_rank_oracle, random_connection_matrix)
-from .row_cancel import (RCTrace, ReductionStep, ReductionTrace,
+from .row_cancel import (ReductionStep, ReductionTrace,
                          block_sequential_row_cancellation,
-                         cancellation_schedule, rc_transition, reduce_complex,
-                         row_cancellation, smale_cancellation_sweep)
-from .sweep_f import (TransitionMatrix, invert_transition, sweep_accumulated,
-                      sweep_incremental, transition_matrix)
+                         cancellation_schedule, rc_transition_ops,
+                         reduce_complex, row_cancellation,
+                         smale_cancellation_sweep)
+from .sweep_f import (invert_transition, sweep_accumulated, sweep_incremental,
+                      transition_ops)
 from .sweep_z import KernelProblem, solve_min_leading, sweep_over_z
 from .tu import (SizeGuardError, SurfaceProfile, SurfaceRejection,
                  TuCounterexample, betti_over_q, generate_surface_matrix,

@@ -5,7 +5,8 @@ block: the input for block k keeps only the entries of J_{k-1} x J_k, with
 the rows of the previous block's pivot columns zeroed first. The revised
 one-block algorithm picks pivots bottom-up instead of diagonal by diagonal
 and cancels each pivot's whole row at once; it is column-echelon reduction
-minus the column swaps.
+minus the column swaps. On one-block input the rows of the pivot columns
+are zero, so conjugating by its elementary ops changes columns only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import (PRIMARY, ConnectionMatrix, Mark, MarkRegistry,
                    PreconditionError, SweepTrace, require_valid)
-from .linalg import exact_div, freeze, identity, norm
+from .linalg import conjugate, exact_div, freeze, identity, norm, ops_product
 from .sweep_f import sweep_incremental
 
 
@@ -78,6 +79,7 @@ def revised_one_block(matrix):
     m = matrix.m
     dense = matrix.to_dense()
     active = list(range(1, m + 1))
+    unchanged = freeze(identity(m))
     matrices = [freeze(dense)]
     transitions = []
     marks = []
@@ -89,22 +91,14 @@ def revised_one_block(matrix):
                 break
         if i_t is None:
             break
-        j_t = min(j for j in active if dense[i_t - 1][j - 1])
-        piv = dense[i_t - 1][j_t - 1]
+        row = dense[i_t - 1]
+        j_t = min(j for j in active if row[j - 1])
+        piv = row[j_t - 1]
         marks.append(Mark((i_t, j_t), PRIMARY, j_t - i_t, piv))
-        t = identity(m)
-        for j in active:
-            if j > j_t and dense[i_t - 1][j - 1]:
-                t[j_t - 1][j - 1] = norm(-exact_div(dense[i_t - 1][j - 1], piv))
-        col_piv = [dense[i][j_t - 1] for i in range(m)]
-        for j in active:
-            coeff = t[j_t - 1][j - 1]
-            if j != j_t and coeff:
-                for i in range(m):
-                    if col_piv[i]:
-                        dense[i][j - 1] = norm(dense[i][j - 1] + coeff * col_piv[i])
-        transitions.append(freeze(t))
-        matrices.append(freeze(dense))
+        ops = [(j_t, j, norm(-exact_div(row[j - 1], piv)))
+               for j in active if j > j_t and row[j - 1]]
+        transitions.append(freeze(ops_product(m, ops)) if ops else unchanged)
+        matrices.append(freeze(conjugate(dense, ops)) if ops else matrices[-1])
         active.remove(j_t)
     return SweepTrace("revised1", matrix, tuple(matrices), tuple(transitions),
                       MarkRegistry(tuple(marks)))

@@ -3,7 +3,7 @@
 Subcommands: run, compare, tu check, surface check|gen, oracle pivots|ilp,
 gen random. Artifacts are deterministic: identical configs yield identical
 bytes. Exit codes: 0 success/equal, 1 precondition violated, 2 I/O error,
-3 verification failure.
+3 verification failure, 4 internal error (a broken invariant, i.e. a bug).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_IO = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 _RUNNERS = {
     "z": sweep_over_z,
@@ -406,7 +407,7 @@ def main(argv=None):
         return EXIT_IO
     except ConnSweepError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -239,7 +239,9 @@ class SweepTrace:
 
     matrices holds one more matrix than transitions. For the accumulated
     variants the transitions are the running change-of-basis matrices; for
-    the incremental variants they are the per-diagonal ones.
+    the incremental variants and row cancellation they are the per-diagonal
+    ones. Row cancellation ("rowcancel") stops at the last swept diagonal,
+    without a final step.
     """
 
     algorithm: str

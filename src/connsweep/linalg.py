@@ -3,6 +3,8 @@
 Matrices are lists of row lists. Values are Python ints wherever possible
 and fractions.Fraction otherwise, so every operation is exact. Nothing here
 knows about chain partitions; callers slice blocks out themselves.
+Changes of basis are lists of elementary ops, applied by conjugate and
+multiplied out by ops_product.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ def exact_div(a, b):
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def zero_matrix(n_rows, n_cols):
@@ -145,6 +150,45 @@ def invert_upper(u):
         for i in range(c + 1):
             inv[i][c] = norm(x[i])
     return inv
+
+
+def _add_column(a, s, d, c):
+    """Column d += c * column s, 0-based, in place."""
+    for row in a:
+        v = row[s]
+        if v:
+            row[d] = norm(row[d] + c * v)
+
+
+def conjugate(dense, ops):
+    """dense <- T^{-1} @ dense @ T in place, for T the product of ops.
+
+    An op (s, d, c) is 1-based with s != d and stands for the elementary
+    matrix I + c*E_{s,d}; T multiplies them in list order. Each op adds c
+    times column s to column d (the right factor), then subtracts c times
+    row d from row s (its inverse on the left). Taking the ops one at a
+    time undoes them in the right order even when they do not commute.
+    """
+    for s, d, c in ops:
+        s -= 1
+        d -= 1
+        _add_column(dense, s, d, c)
+        row_d = dense[d]
+        if any(row_d):
+            row_s = dense[s]
+            for k, v in enumerate(row_d):
+                if v:
+                    row_s[k] = norm(row_s[k] - c * v)
+    return dense
+
+
+def ops_product(m, ops):
+    """The m x m transition T of an op list: conjugate's column updates
+    applied to the identity."""
+    t = identity(m)
+    for s, d, c in ops:
+        _add_column(t, s - 1, d - 1, c)
+    return t
 
 
 def rank(a):

@@ -3,8 +3,11 @@
 The diagonal sweep and the primary-pivot criterion are the same as in the
 incremental sweeping, but there are no change-of-basis pivots: as soon as a
 primary pivot is marked, every entry to its right is zeroed by column
-operations from the pivot column. The conjugation step also performs the
-matching row operations, which only ever touch rows that end up zero.
+operations from the pivot column. These are elementary ops like the
+incremental sweep's, applied by the same conjugation kernel, whose row
+operations only ever touch rows that end up zero. The run is recorded as a
+SweepTrace labelled "rowcancel", with one matrix per swept diagonal and no
+final step.
 
 Also here: the per-step reduced matrices obtained by deleting each
 cancelled row/column pair, and the cancellation schedule read off a trace.
@@ -15,112 +18,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (PRIMARY, AlgorithmError, ConnectionMatrix, Mark,
-                   MarkRegistry, PreconditionError, require_valid,
-                   scan_diagonal)
-from .linalg import exact_div, freeze, identity, norm
-from .sweep_f import TransitionMatrix
+                   MarkRegistry, PreconditionError, SweepTrace,
+                   require_valid, scan_diagonal)
+from .linalg import (conjugate, exact_div, freeze, identity, norm,
+                     ops_product)
 
 
-@dataclass(frozen=True)
-class RCTrace:
-    """Row-cancellation record: one matrix per swept diagonal, no final step.
+def rc_transition_ops(delta_r, pivots):
+    """Ops zeroing everything right of the given pivots, grouped pivot by
+    pivot in increasing column order.
 
-    factors holds, parallel to transitions, the per-pivot elementary
-    matrices whose ordered product is the transition.
+    A pivot at (i, j) contributes one op (j, col, -delta[i][col]/delta[i][j])
+    for each nonzero right of it in row i, so the product of the ops is a
+    unit upper-triangular matrix whose off-diagonal support is confined to
+    the rows indexed by the pivot columns. No pivots, or nothing to their
+    right (as on the last diagonal), give no ops.
     """
-
-    matrix: ConnectionMatrix
-    matrices: tuple
-    transitions: tuple
-    factors: tuple
-    registry: MarkRegistry
-
-    def __post_init__(self):
-        if len(self.matrices) != len(self.transitions) + 1:
-            raise AlgorithmError("trace shape: need len(matrices) == len(transitions) + 1")
-
-    @property
-    def algorithm(self):
-        return "rowcancel"
-
-    @property
-    def final(self):
-        return self.matrices[-1]
-
-
-def rc_transition(delta_r, pivots):
-    """Unit-diagonal upper-triangular matrix zeroing everything right of the
-    given pivots, as an ordered product of one factor per pivot.
-
-    Off-diagonal support is confined to the rows indexed by the pivot
-    columns. With no pivots the result is the identity (also the case on the
-    last diagonal, where nothing sits to the right).
-    """
-    m = len(delta_r)
-    pivots = sorted(pivots, key=lambda pos: pos[1])
-    factors = []
-    for (i, j) in pivots:
-        piv = delta_r[i - 1][j - 1]
+    ops = []
+    for (i, j) in sorted(pivots, key=lambda pos: pos[1]):
+        row = delta_r[i - 1]
+        piv = row[j - 1]
         if not piv:
             raise AlgorithmError(f"zero entry at pivot position ({i}, {j})")
-        factor = identity(m)
-        row = delta_r[i - 1]
-        for col in range(j + 1, m + 1):
+        for col in range(j + 1, len(row) + 1):
             if row[col - 1]:
-                factor[j - 1][col - 1] = norm(-exact_div(row[col - 1], piv))
-        factors.append(freeze(factor))
-    t = identity(m)
-    for factor in factors:
-        _post_multiply(t, factor)
-    return TransitionMatrix(freeze(t), "row_cancellation", tuple(factors))
-
-
-def _factor_ops(factor):
-    """(source_row, [(col, coeff), ...]) of a single elementary factor."""
-    src = None
-    ops = []
-    for i, row in enumerate(factor):
-        for j, v in enumerate(row):
-            if i != j and v:
-                src = i
-                ops.append((j, v))
-    return src, ops
-
-
-def _post_multiply(dense, factor):
-    """dense <- dense @ factor, exploiting the single nonzero row of factor."""
-    src, ops = _factor_ops(factor)
-    if src is None:
-        return dense
-    for row in dense:
-        v = row[src]
-        if v:
-            for j, coeff in ops:
-                row[j] = norm(row[j] + v * coeff)
-    return dense
-
-
-def _pre_multiply_inverse(dense, factor):
-    """dense <- factor^{-1} @ dense; the factor inverse flips the row signs."""
-    src, ops = _factor_ops(factor)
-    if src is None:
-        return dense
-    target = dense[src]
-    for j, coeff in ops:
-        row_j = dense[j]
-        if any(row_j):
-            for c in range(len(target)):
-                if row_j[c]:
-                    target[c] = norm(target[c] - coeff * row_j[c])
-    return dense
-
-
-def _conjugate_by_factors(dense, factors):
-    for factor in factors:
-        _post_multiply(dense, factor)
-    for factor in reversed(factors):
-        _pre_multiply_inverse(dense, factor)
-    return dense
+                ops.append((j, col, norm(-exact_div(row[col - 1], piv))))
+    return ops
 
 
 def row_cancellation(matrix):
@@ -128,29 +51,24 @@ def row_cancellation(matrix):
     require_valid(matrix)
     m = matrix.m
     dense = matrix.to_dense()
+    unchanged = freeze(identity(m))
     matrices = [freeze(dense)]
     transitions = []
-    factor_lists = []
     marks = []
     primary_cols = set()
-    prev = TransitionMatrix(freeze(identity(m)), "row_cancellation", ())
+    ops = []
     for r in range(1, m):
-        transitions.append(prev.matrix)
-        factor_lists.append(prev.factors)
-        dense = _conjugate_by_factors(dense, prev.factors)
-        matrices.append(freeze(dense))
+        transitions.append(freeze(ops_product(m, ops)) if ops else unchanged)
+        matrices.append(freeze(conjugate(dense, ops)) if ops else matrices[-1])
         pivots = []
-        for i, j, kind in scan_diagonal(dense, m, r, primary_cols, (),
-                                        use_row_rule=False):
+        for i, j, _ in scan_diagonal(dense, m, r, primary_cols, (),
+                                     use_row_rule=False):
             marks.append(Mark((i, j), PRIMARY, r, dense[i - 1][j - 1]))
             primary_cols.add(j)
             pivots.append((i, j))
-        if pivots and r < m - 1:
-            prev = rc_transition(dense, pivots)
-        else:
-            prev = TransitionMatrix(freeze(identity(m)), "row_cancellation", ())
-    return RCTrace(matrix, tuple(matrices), tuple(transitions),
-                   tuple(factor_lists), MarkRegistry(tuple(marks)))
+        ops = rc_transition_ops(dense, pivots)
+    return SweepTrace("rowcancel", matrix, tuple(matrices), tuple(transitions),
+                      MarkRegistry(tuple(marks)))
 
 
 def cancellation_schedule(trace):

@@ -1,50 +1,41 @@
-"""Sweeping over the rationals: accumulated and incremental variants.
+"""Sweeping over the rationals: incremental and accumulated variants.
 
-Both sweep the diagonals of the matrix left to right, mark primary and
-change-of-basis pivots, and zero out each change-of-basis pivot with a
-column combination whose leading coefficient is 1. The accumulated variant
-keeps the running change of basis P^r (conjugating the input each round);
-the incremental variant keeps only the per-diagonal transition T^r.
+The incremental sweep goes over the diagonals of the matrix left to right,
+marks primary and change-of-basis pivots, and zeroes out each
+change-of-basis pivot with a column combination whose leading coefficient
+is 1. That per-diagonal change of basis T^r is a list of elementary ops;
+the working matrix is conjugated by them in place, and the trace stores
+their product. The accumulated variant is the same run seen through the
+running basis P^r = T^0 T^1 ... T^r instead of the per-diagonal T^r.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (PRIMARY, AlgorithmError, Mark, MarkRegistry,
-                   SweepTrace, require_valid, scan_diagonal)
-from .linalg import (copy_matrix, exact_div, freeze, identity, invert_upper,
-                     mat_mul, mat_vec, norm, thaw)
+                   SweepTrace, accumulated_basis, require_valid,
+                   scan_diagonal)
+from .linalg import (conjugate, exact_div, freeze, identity, norm,
+                     ops_product, thaw)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """A change-of-basis matrix with its structural tag and factor list."""
-
-    matrix: tuple
-    tag: str  # "accumulated" | "incremental" | "row_cancellation"
-    factors: tuple = ()
-
-
-def transition_matrix(delta_r, cb_positions, primary_positions):
-    """Per-diagonal transition: identity minus one unit for each
-    change-of-basis pivot, placed at (primary column, pivot column).
+def transition_ops(delta_r, cb_positions, primary_positions):
+    """Per-diagonal change of basis as ops: one (primary column, pivot
+    column, -delta[i][j]/delta[i][p]) op for each change-of-basis pivot.
 
     Each change-of-basis pivot at (i, j) must have a primary pivot (i, p) in
-    its row; the matrix gets entry -delta[i][j]/delta[i][p] at (p, j).
+    its row. No column is both a primary and a change-of-basis column, so
+    the ops commute and their product is the identity plus one entry each.
     """
-    m = len(delta_r)
-    primary_in_row = {}
-    for (i, p) in primary_positions:
-        primary_in_row[i] = p
-    t = identity(m)
+    primary_in_row = dict(primary_positions)
+    ops = []
     for (i, j) in cb_positions:
         p = primary_in_row.get(i)
         if p is None or p == j:
             raise AlgorithmError(
                 f"change-of-basis pivot at ({i}, {j}) has no primary pivot in its row")
-        t[p - 1][j - 1] = norm(-exact_div(delta_r[i - 1][j - 1], delta_r[i - 1][p - 1]))
-    return TransitionMatrix(freeze(t), "incremental")
+        ops.append((p, j, norm(-exact_div(delta_r[i - 1][j - 1],
+                                          delta_r[i - 1][p - 1]))))
+    return ops
 
 
 def invert_transition(t):
@@ -53,7 +44,7 @@ def invert_transition(t):
     Valid because no column can hold both a primary and a change-of-basis
     pivot, so the off-diagonal part squares to zero.
     """
-    rows = thaw(t.matrix if isinstance(t, TransitionMatrix) else t)
+    rows = thaw(t)
     n = len(rows)
     for i in range(n):
         if rows[i][i] != 1:
@@ -64,54 +55,21 @@ def invert_transition(t):
     return rows
 
 
-def _apply_transition_ops(dense, ops):
-    """Conjugate dense by I - sum of unit matrices in place.
-
-    ops holds (p, j, alpha) triples, meaning entry alpha at (p, j); the
-    column update adds alpha * col p to col j, the row update subtracts
-    alpha * row j from row p. Change-of-basis columns j and primary columns
-    p are disjoint, so in-place application is sound.
-    """
-    if not ops:
-        return dense
-    n = len(dense)
-    for p, j, alpha in ops:
-        for row in dense:
-            if row[p - 1]:
-                row[j - 1] = norm(row[j - 1] + alpha * row[p - 1])
-    for p, j, alpha in ops:
-        row_j = dense[j - 1]
-        row_p = dense[p - 1]
-        for c in range(n):
-            if row_j[c]:
-                row_p[c] = norm(row_p[c] - alpha * row_j[c])
-    return dense
-
-
-def _ops_of_transition(t):
-    ops = []
-    for i, row in enumerate(t):
-        for j, v in enumerate(row):
-            if i != j and v:
-                ops.append((i + 1, j + 1, v))
-    return ops
-
-
 def sweep_incremental(matrix):
     """Incremental sweeping; returns the trace of matrices and transitions."""
     require_valid(matrix)
     m = matrix.m
     dense = matrix.to_dense()
+    unchanged = freeze(identity(m))
     matrices = [freeze(dense)]
-    transitions = [freeze(identity(m))]  # T^0
+    transitions = [unchanged]  # T^0
     marks = []
     primaries = []
     primary_cols = set()
     primary_rows = set()
-    pending_ops = []
+    ops = []
     for r in range(1, m):
-        dense = _apply_transition_ops(dense, pending_ops)
-        matrices.append(freeze(dense))
+        matrices.append(freeze(conjugate(dense, ops)) if ops else matrices[-1])
         cb = []
         for i, j, kind in scan_diagonal(dense, m, r, primary_cols, primary_rows):
             marks.append(Mark((i, j), kind, r, dense[i - 1][j - 1]))
@@ -121,72 +79,22 @@ def sweep_incremental(matrix):
                 primary_rows.add(i)
             else:
                 cb.append((i, j))
-        if cb:
-            t = transition_matrix(dense, cb, primaries)
-            pending_ops = _ops_of_transition(t.matrix)
-            transitions.append(t.matrix)
-        else:
-            pending_ops = []
-            transitions.append(freeze(identity(m)))
-    dense = _apply_transition_ops(dense, pending_ops)
-    matrices.append(freeze(dense))
+        ops = transition_ops(dense, cb, primaries)
+        transitions.append(freeze(ops_product(m, ops)) if ops else unchanged)
+    matrices.append(freeze(conjugate(dense, ops)) if ops else matrices[-1])
     return SweepTrace("incremental", matrix, tuple(matrices),
                       tuple(transitions), MarkRegistry(tuple(marks)))
 
 
-def _conjugate(p, delta0):
-    return mat_mul(mat_mul(invert_upper(p), delta0), p)
-
-
 def sweep_accumulated(matrix):
-    """Accumulated sweeping: conjugates the input by the running basis P^r.
+    """Accumulated sweeping: the incremental run, with the running change of
+    basis P^r in place of each per-diagonal transition T^r.
 
-    For a change-of-basis pivot at (i, j) with primary pivot at (i, p), the
-    replacement column is the ready-made solution P^{r-1}_{JJ} y with
-    y = 1 at the pivot column, -delta[i][j]/delta[i][p] at the primary
-    column, zero elsewhere.
+    P^r replaces the column of each change-of-basis pivot at (i, j), with
+    primary pivot (i, p), by P^{r-1} y for y = 1 at the pivot column and
+    -delta[i][j]/delta[i][p] at the primary column; that is P^{r-1} T^r.
     """
-    require_valid(matrix)
-    m = matrix.m
-    delta0 = matrix.to_dense()
-    p_prev = identity(m)
-    matrices = [freeze(delta0)]
-    transitions = [freeze(p_prev)]  # P^0
-    marks = []
-    primary_cols = set()
-    primary_rows = set()
-    primary_in_row = {}
-    for r in range(1, m):
-        dense = _conjugate(p_prev, delta0)
-        matrices.append(freeze(dense))
-        cb = []
-        for i, j, kind in scan_diagonal(dense, m, r, primary_cols, primary_rows):
-            marks.append(Mark((i, j), kind, r, dense[i - 1][j - 1]))
-            if kind == PRIMARY:
-                primary_cols.add(j)
-                primary_rows.add(i)
-                primary_in_row[i] = j
-            else:
-                cb.append((i, j))
-        p_new = copy_matrix(p_prev)
-        for (i, j) in cb:
-            p = primary_in_row.get(i)
-            if p is None:
-                raise AlgorithmError(
-                    f"change-of-basis pivot at ({i}, {j}) has no primary pivot in its row")
-            k = matrix.chain_index(j)
-            cols_j = sorted(c for c in matrix.partition[k] if c <= j)
-            y = [0] * len(cols_j)
-            y[cols_j.index(p)] = norm(-exact_div(dense[i - 1][j - 1], dense[i - 1][p - 1]))
-            y[-1] = 1
-            sub = [[p_prev[a - 1][c - 1] for c in cols_j] for a in cols_j]
-            x = mat_vec(sub, y)
-            for row in p_new:
-                row[j - 1] = 0
-            for a, xa in zip(cols_j, x):
-                p_new[a - 1][j - 1] = xa
-        transitions.append(freeze(p_new))
-        p_prev = p_new
-    matrices.append(freeze(_conjugate(p_prev, delta0)))
-    return SweepTrace("accumulated", matrix, tuple(matrices),
-                      tuple(transitions), MarkRegistry(tuple(marks)))
+    trace = sweep_incremental(matrix)
+    return SweepTrace("accumulated", matrix, trace.matrices,
+                      tuple(freeze(p) for p in accumulated_basis(trace)),
+                      trace.registry)

@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from connsweep.cli import main
+from connsweep import AlgorithmError
+from connsweep.cli import EXIT_INTERNAL, _RUNNERS, main
 from connsweep.cmx import parse_cmx, serialize_cmx
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_ZERO
 
@@ -152,3 +153,15 @@ def test_exit_codes_io_and_precondition(tmp_path, capsys):
     bad.write_text("CMX 1\nm 2\nb 0\nindex 1 0\nindex 2 0\nentry 2 1 1\n")
     assert main(["run", "-a", "z", str(bad), "-o", str(tmp_path / "o")]) == 1
     assert "diagonal" in capsys.readouterr().err
+
+
+def test_exit_code_internal_error_differs_from_verify(cb_path, tmp_path,
+                                                      monkeypatch, capsys):
+    def broken(matrix):
+        raise AlgorithmError("planted invariant failure")
+
+    monkeypatch.setitem(_RUNNERS, "incremental", broken)
+    out = str(tmp_path / "out")
+    assert main(["run", "-a", "incremental", cb_path, "-o", out]) == EXIT_INTERNAL
+    assert EXIT_INTERNAL == 4
+    assert "internal error: planted invariant failure" in capsys.readouterr().err

@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
-from connsweep.linalg import (bareiss_det, clear_denominators, exact_div,
-                              identity, integer_kernel_basis, invert_upper,
-                              is_identity, mat_mul, mat_vec, norm, rank,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from connsweep.linalg import (bareiss_det, clear_denominators, conjugate,
+                              copy_matrix, exact_div, identity,
+                              integer_kernel_basis, invert_upper, is_identity,
+                              mat_mul, mat_vec, norm, ops_product, rank,
                               reduce_mod_lattice, xgcd)
 
 
@@ -94,3 +99,63 @@ def test_reduce_mod_lattice_canonical():
     assert reduce_mod_lattice([-5, -7, 1], basis) == [1, -1, 1]
     # coset invariance
     assert reduce_mod_lattice([5 + 4, 7 - 9, 1], basis) == [1, 1, 1]
+
+
+# ints and small-denominator fractions, normalized like the matrices' values
+EXACT = st.builds(exact_div, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
+NONZERO = EXACT.filter(bool)
+
+
+@st.composite
+def ops_lists(draw, m, upper):
+    """Op lists on 1..m; some ops take an earlier op's target as their
+    source, so consecutive ops need not commute."""
+    ops = []
+    for _ in range(draw(st.integers(0, 8))):
+        chain = ops and draw(st.booleans())
+        s = ops[-1][1] if chain else draw(st.integers(1, m))
+        lo = s + 1 if upper else 1
+        if lo > m:
+            continue
+        d = draw(st.integers(lo, m).filter(lambda d: d != s))
+        ops.append((s, d, draw(NONZERO)))
+    return ops
+
+
+@st.composite
+def conjugation_cases(draw):
+    m = draw(st.integers(2, 7))
+    values = draw(st.lists(EXACT, min_size=m * m, max_size=m * m))
+    dense = [[values[i * m + j] if j > i else 0 for j in range(m)]
+             for i in range(m)]
+    return m, dense, draw(ops_lists(m, upper=True))
+
+
+def one_op(m, s, d, c):
+    e = identity(m)
+    e[s - 1][d - 1] = c
+    return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(conjugation_cases())
+def test_conjugate_is_similarity_by_ops_product(case):
+    m, dense, ops = case
+    t = ops_product(m, ops)
+    expected = mat_mul(mat_mul(invert_upper(t), dense), t)
+    assert conjugate(copy_matrix(dense), ops) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7).flatmap(
+    lambda m: st.tuples(st.just(m), ops_lists(m, upper=False))))
+def test_ops_product_is_ordered_product(case):
+    m, ops = case
+    expected = reduce(mat_mul, [one_op(m, *op) for op in ops], identity(m))
+    assert ops_product(m, ops) == expected
+
+
+def test_noncommuting_ops_keep_list_order():
+    ops = [(1, 2, 1), (2, 3, 1)]
+    assert ops_product(3, ops) == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    assert ops_product(3, ops[::-1]) == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]

@@ -4,11 +4,13 @@ import pytest
 
 from connsweep import (PRIMARY, AlgorithmError, ConnectionMatrix,
                        PreconditionError, block_sequential_row_cancellation,
-                       cancellation_schedule, rc_transition, reduce_complex,
-                       row_cancellation, smale_cancellation_sweep,
-                       sweep_incremental, betti_over_q)
+                       cancellation_schedule, parse_cmx, rc_transition_ops,
+                       reduce_complex, row_cancellation,
+                       smale_cancellation_sweep, sweep_incremental,
+                       betti_over_q)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.linalg import freeze, identity, is_identity, mat_mul, thaw
+from connsweep.linalg import (freeze, identity, is_identity, mat_mul,
+                              ops_product, thaw)
 from connsweep.verify import verify_block_runs, verify_row_cancellation
 
 
@@ -44,23 +46,25 @@ def test_zero():
 
 def test_rc_transition_identity_cases():
     delta = freeze([[0, 1], [0, 0]])
-    t = rc_transition(delta, [])
-    assert is_identity(thaw(t.matrix))
+    assert rc_transition_ops(delta, []) == []
+    assert rc_transition_ops(delta, [(1, 2)]) == []  # nothing right of it
+    assert is_identity(ops_product(2, []))
 
 
 def test_rc_transition_cb():
     trace = row_cancellation(FIX_CB)
-    t = rc_transition(trace.matrices[1], [(2, 3)])
+    ops = rc_transition_ops(trace.matrices[1], [(2, 3)])
     expected = identity(4)
     expected[2][3] = Fraction(-3, 2)
-    assert thaw(t.matrix) == expected
-    assert len(t.factors) == 1
+    assert ops_product(4, ops) == expected
+    # one pivot: every op adds a multiple of its own column
+    assert {s for (s, _, _) in ops} == {3}
 
 
 def test_rc_transition_zero_pivot_is_bug_signal():
     delta = freeze([[0, 0], [0, 0]])
     with pytest.raises(AlgorithmError):
-        rc_transition(delta, [(1, 2)])
+        rc_transition_ops(delta, [(1, 2)])
 
 
 def test_rc_transition_uniqueness_two_pivots():
@@ -69,13 +73,16 @@ def test_rc_transition_uniqueness_two_pivots():
     cm = ConnectionMatrix(
         6, [{1, 2}, {3, 4}, {5, 6}], {(1, 3): 2, (1, 4): 3, (3, 5): 1, (3, 6): 4})
     delta = freeze(cm.to_dense())
-    t = rc_transition(delta, [(1, 3), (3, 5)])
+    ops = rc_transition_ops(delta, [(3, 5), (1, 3)])
+    # grouped pivot by pivot in increasing column order
+    assert [s for (s, _, _) in ops] == sorted(s for (s, _, _) in ops)
+    t = ops_product(6, ops)
     dense = thaw(delta)
-    prod = mat_mul(dense, thaw(t.matrix))
+    prod = mat_mul(dense, t)
     assert prod[0][3:] == [0, 0, 0]
     assert prod[2][5] == 0
     # unit upper triangular with support confined to pivot-column rows
-    for i, row in enumerate(thaw(t.matrix)):
+    for i, row in enumerate(t):
         for j, v in enumerate(row):
             if i == j:
                 assert v == 1
@@ -89,9 +96,56 @@ def test_rc_transition_uniqueness_two_pivots():
     t2[4][5] = Fraction(-4, 1)
     for j in range(6):
         for i in range(6):
-            if thaw(t.matrix)[i][j] != t2[i][j]:
+            if t[i][j] != t2[i][j]:
                 # columns untouched by pivots must agree with identity
                 assert i + 1 in (3, 5)
+
+
+# Pivots on one diagonal whose ops do not commute: on diagonal 4 the pivot
+# at (5, 9) adds column 9 to column 10, the source column of the pivot at
+# (6, 10). Undoing the factors in the wrong order leaves row 10 nonzero and
+# breaks similarity.
+NONCOMMUTING_FACTORS = """\
+CMX 1
+m 16
+b 3
+index 1 0
+index 2 0
+index 3 0
+index 4 0
+index 5 1
+index 6 1
+index 7 1
+index 8 1
+index 9 2
+index 10 2
+index 11 2
+index 12 2
+index 13 3
+index 14 3
+index 15 3
+index 16 3
+entry 3 7 -1
+entry 3 8 2
+entry 4 8 1
+entry 5 9 3
+entry 5 10 -3
+entry 5 11 3
+entry 6 10 3
+entry 6 11 -3
+entry 10 14 1
+entry 10 16 -1
+entry 11 14 1
+entry 11 16 -1
+"""
+
+
+def test_noncommuting_factors_pass_every_check():
+    trace = row_cancellation(parse_cmx(NONCOMMUTING_FACTORS))
+    checks = verify_row_cancellation(trace)
+    assert [name for name, ok, _ in checks if not ok] == []
+    assert {"pivot_row_zeroed", "similarity",
+            "final_complementarity"} <= {name for name, _, _ in checks}
 
 
 def test_structural_invariants_random(small_corpus):

@@ -5,9 +5,10 @@ import pytest
 
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        accumulated_basis, invert_transition, sweep_accumulated,
-                       sweep_incremental, sweep_over_z, transition_matrix)
+                       sweep_incremental, sweep_over_z, transition_ops)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.linalg import (freeze, identity, is_identity, mat_mul, thaw)
+from connsweep.linalg import (freeze, identity, is_identity, mat_mul,
+                              ops_product, thaw)
 from connsweep.verify import verify_sweep
 
 
@@ -64,23 +65,24 @@ def test_accumulated_zero_keeps_identity():
 
 def test_transition_matrix_empty_is_identity():
     delta = freeze(identity(3))
-    t = transition_matrix(delta, [], [])
-    assert is_identity(thaw(t.matrix))
+    assert transition_ops(delta, [], []) == []
+    assert is_identity(ops_product(3, []))
 
 
 def test_transition_matrix_cb_example():
     trace = sweep_incremental(FIX_CB)
     delta2 = trace.matrices[2]
-    t = transition_matrix(delta2, [(2, 4)], [(2, 3)])
+    ops = transition_ops(delta2, [(2, 4)], [(2, 3)])
+    assert ops == [(3, 4, Fraction(-3, 2))]
     expected = identity(4)
     expected[2][3] = Fraction(-3, 2)
-    assert thaw(t.matrix) == expected
+    assert ops_product(4, ops) == expected
 
 
 def test_transition_matrix_missing_primary_is_bug_signal():
     trace = sweep_incremental(FIX_CB)
     with pytest.raises(AlgorithmError):
-        transition_matrix(trace.matrices[2], [(2, 4)], [])
+        transition_ops(trace.matrices[2], [(2, 4)], [])
 
 
 def test_transition_factorization_order_irrelevant():
@@ -93,13 +95,15 @@ def test_transition_factorization_order_irrelevant():
         delta[0][3] = rng.randint(1, 3)   # cb      (1,4)
         delta[1][4] = rng.randint(1, 3)   # primary (2,5)
         delta[1][5] = rng.randint(1, 3)   # cb      (2,6)
-        t = transition_matrix(freeze(delta), [(1, 4), (2, 6)], [(1, 3), (2, 5)])
+        ops = transition_ops(freeze(delta), [(1, 4), (2, 6)], [(1, 3), (2, 5)])
+        t = ops_product(m, ops)
+        assert ops_product(m, ops[::-1]) == t
         f1 = identity(m)
-        f1[2][3] = t.matrix[2][3]
+        f1[2][3] = t[2][3]
         f2 = identity(m)
-        f2[4][5] = t.matrix[4][5]
-        assert mat_mul(f1, f2) == thaw(t.matrix)
-        assert mat_mul(f2, f1) == thaw(t.matrix)
+        f2[4][5] = t[4][5]
+        assert mat_mul(f1, f2) == t
+        assert mat_mul(f2, f1) == t
 
 
 def test_invert_transition():
