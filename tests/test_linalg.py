@@ -153,9 +153,3 @@ def test_ops_product_is_ordered_product(case):
     m, ops = case
     expected = reduce(mat_mul, [one_op(m, *op) for op in ops], identity(m))
     assert ops_product(m, ops) == expected
-
-
-def test_noncommuting_ops_keep_list_order():
-    ops = [(1, 2, 1), (2, 3, 1)]
-    assert ops_product(3, ops) == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
-    assert ops_product(3, ops[::-1]) == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
