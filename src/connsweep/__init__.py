@@ -15,8 +15,7 @@ from .row_cancel import (ReductionStep, ReductionTrace,
                          cancellation_schedule, rc_transition_ops,
                          reduce_complex, row_cancellation,
                          smale_cancellation_sweep)
-from .sweep_f import (invert_transition, sweep_accumulated, sweep_incremental,
-                      transition_ops)
+from .sweep_f import sweep_accumulated, sweep_incremental, transition_ops
 from .sweep_z import KernelProblem, solve_min_leading, sweep_over_z
 from .tu import (SizeGuardError, SurfaceProfile, SurfaceRejection,
                  TuCounterexample, betti_over_q, generate_surface_matrix,

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (PRIMARY, ConnectionMatrix, Mark, MarkRegistry,
-                   PreconditionError, SweepTrace, require_valid)
-from .linalg import conjugate, exact_div, freeze, identity, norm, ops_product
+                   PreconditionError, SweepTrace, frozen_transitions,
+                   require_valid)
+from .linalg import conjugate, exact_div, freeze, norm
 from .sweep_f import sweep_incremental
 
 
@@ -79,9 +80,8 @@ def revised_one_block(matrix):
     m = matrix.m
     dense = matrix.to_dense()
     active = list(range(1, m + 1))
-    unchanged = freeze(identity(m))
     matrices = [freeze(dense)]
-    transitions = []
+    op_lists = []
     marks = []
     while True:
         i_t = None
@@ -97,8 +97,8 @@ def revised_one_block(matrix):
         marks.append(Mark((i_t, j_t), PRIMARY, j_t - i_t, piv))
         ops = [(j_t, j, norm(-exact_div(row[j - 1], piv)))
                for j in active if j > j_t and row[j - 1]]
-        transitions.append(freeze(ops_product(m, ops)) if ops else unchanged)
+        op_lists.append(ops)
         matrices.append(freeze(conjugate(dense, ops)) if ops else matrices[-1])
         active.remove(j_t)
-    return SweepTrace("revised1", matrix, tuple(matrices), tuple(transitions),
-                      MarkRegistry(tuple(marks)))
+    return SweepTrace("revised1", matrix, tuple(matrices),
+                      frozen_transitions(m, op_lists), MarkRegistry(tuple(marks)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import as_exact
+from .linalg import as_exact, conjugate, freeze, identity, ops_product
 
 Position = tuple[int, int]
 
@@ -219,18 +219,12 @@ class MarkRegistry:
                 raise AlgorithmError(f"position {mk.position} carries both mark kinds")
             by_pos[mk.position] = mk.kind
 
-    def primary_pivots(self):
-        return {mk.position: mk for mk in self.marks if mk.kind == PRIMARY}
-
     def primary_positions(self):
         return frozenset(mk.position for mk in self.marks if mk.kind == PRIMARY)
 
     def on_diagonal(self, r):
         return sorted((mk for mk in self.marks if mk.diagonal == r),
                       key=lambda mk: mk.position[1])
-
-    def change_of_basis_marks(self):
-        return [mk for mk in self.marks if mk.kind == CHANGE_OF_BASIS]
 
 
 @dataclass(frozen=True)
@@ -280,6 +274,49 @@ def scan_diagonal(dense, m, r, primary_cols, primary_rows, use_row_rule=True):
         else:
             found.append((i, j, PRIMARY))
     return found
+
+
+def sweep_diagonals(matrix, change_of_basis, use_row_rule=True):
+    """The diagonal sweep shared by the rational and integer sweeps and row
+    cancellation; they differ only in the markup rule and change_of_basis.
+
+    On each diagonal r = 1..m-1 the working matrix is marked by
+    scan_diagonal; change_of_basis(dense, found, primaries) then returns the
+    diagonal's ops, given the (i, j, kind) triples just found and every
+    primary pivot so far, and linalg.conjugate applies them. Returns the m+1
+    frozen matrices (the input, repeated for diagonal 0, then the matrix
+    after each diagonal), the m op lists (none on diagonal 0) and the
+    MarkRegistry. The matrix must be valid; callers check that first.
+    """
+    m = matrix.m
+    dense = matrix.to_dense()
+    matrices = [freeze(dense)] * 2
+    op_lists = [[]]
+    marks = []
+    primaries = []
+    primary_cols = set()
+    primary_rows = set()
+    for r in range(1, m):
+        found = scan_diagonal(dense, m, r, primary_cols, primary_rows,
+                              use_row_rule)
+        for i, j, kind in found:
+            marks.append(Mark((i, j), kind, r, dense[i - 1][j - 1]))
+            if kind == PRIMARY:
+                primaries.append((i, j))
+                primary_cols.add(j)
+                primary_rows.add(i)
+        ops = change_of_basis(dense, found, primaries)
+        op_lists.append(ops)
+        matrices.append(freeze(conjugate(dense, ops)) if ops else matrices[-1])
+    return matrices, op_lists, MarkRegistry(tuple(marks))
+
+
+def frozen_transitions(m, op_lists):
+    """The frozen product of each op list; lists without ops share one
+    frozen identity."""
+    unchanged = freeze(identity(m))
+    return tuple(freeze(ops_product(m, ops)) if ops else unchanged
+                 for ops in op_lists)
 
 
 def marks_on_diagonal(trace, r):

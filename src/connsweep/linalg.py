@@ -50,10 +50,6 @@ def identity(n):
     return out
 
 
-def zero_matrix(n_rows, n_cols):
-    return [[0] * n_cols for _ in range(n_rows)]
-
-
 def copy_matrix(a):
     return [row[:] for row in a]
 
@@ -124,32 +120,28 @@ def mat_vec(a, x):
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
+def solve_upper(u, b):
+    """x with u @ x == b, for u upper-triangular with nonzero diagonal."""
+    n = len(u)
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = u[i]
+        s = b[i]
+        for k in range(i + 1, n):
+            if row[k] and x[k]:
+                s -= row[k] * x[k]
+        if s:
+            x[i] = exact_div(s, row[i])
+    return x
 
 
 def invert_upper(u):
     """Inverse of an upper-triangular matrix with nonzero diagonal."""
     n = len(u)
-    for i in range(n):
-        if not u[i][i]:
-            raise ValueError("zero diagonal entry in triangular inverse")
-    inv = [[0] * n for _ in range(n)]
-    for c in range(n):
-        x = [0] * n
-        x[c] = exact_div(1, u[c][c])
-        for i in range(c - 1, -1, -1):
-            s = 0
-            row = u[i]
-            for k in range(i + 1, c + 1):
-                if row[k] and x[k]:
-                    s += row[k] * x[k]
-            if s:
-                x[i] = norm(exact_div(-s, row[i]) if isinstance(s, int) and isinstance(row[i], int)
-                            else -Fraction(s) / Fraction(row[i]))
-        for i in range(c + 1):
-            inv[i][c] = norm(x[i])
-    return inv
+    if not all(u[i][i] for i in range(n)):
+        raise ValueError("zero diagonal entry in triangular inverse")
+    cols = [solve_upper(u, [int(i == c) for i in range(n)]) for c in range(n)]
+    return [list(row) for row in zip(*cols)]
 
 
 def _add_column(a, s, d, c):
@@ -163,11 +155,13 @@ def _add_column(a, s, d, c):
 def conjugate(dense, ops):
     """dense <- T^{-1} @ dense @ T in place, for T the product of ops.
 
-    An op (s, d, c) is 1-based with s != d and stands for the elementary
-    matrix I + c*E_{s,d}; T multiplies them in list order. Each op adds c
-    times column s to column d (the right factor), then subtracts c times
-    row d from row s (its inverse on the left). Taking the ops one at a
-    time undoes them in the right order even when they do not commute.
+    An op (s, d, c) is 1-based and stands for the elementary matrix
+    I + c*E_{s,d}; T multiplies them in list order. Each op adds c times
+    column s to column d (the right factor), then subtracts c times row d
+    from row s (its inverse on the left). An op with s == d scales basis
+    element d by 1 + c (c != -1), so its inverse subtracts c/(1+c) times
+    row d from itself. Taking the ops one at a time undoes them in the
+    right order even when they do not commute.
     """
     for s, d, c in ops:
         s -= 1
@@ -176,15 +170,16 @@ def conjugate(dense, ops):
         row_d = dense[d]
         if any(row_d):
             row_s = dense[s]
+            inv = exact_div(c, 1 + c) if s == d else c
             for k, v in enumerate(row_d):
                 if v:
-                    row_s[k] = norm(row_s[k] - c * v)
+                    row_s[k] = norm(row_s[k] - inv * v)
     return dense
 
 
 def ops_product(m, ops):
-    """The m x m transition T of an op list: conjugate's column updates
-    applied to the identity."""
+    """The m x m transition T of an op list, scaling ops (s == d)
+    included: conjugate's column updates applied to the identity."""
     t = identity(m)
     for s, d, c in ops:
         _add_column(t, s - 1, d - 1, c)

@@ -4,10 +4,10 @@ The diagonal sweep and the primary-pivot criterion are the same as in the
 incremental sweeping, but there are no change-of-basis pivots: as soon as a
 primary pivot is marked, every entry to its right is zeroed by column
 operations from the pivot column. These are elementary ops like the
-incremental sweep's, applied by the same conjugation kernel, whose row
-operations only ever touch rows that end up zero. The run is recorded as a
-SweepTrace labelled "rowcancel", with one matrix per swept diagonal and no
-final step.
+incremental sweep's, from rc_transition_ops, applied by the same diagonal
+loop (core.sweep_diagonals) and conjugation kernel, whose row operations
+only ever touch rows that end up zero. The run is recorded as a SweepTrace
+labelled "rowcancel", with one matrix per swept diagonal and no final step.
 
 Also here: the per-step reduced matrices obtained by deleting each
 cancelled row/column pair, and the cancellation schedule read off a trace.
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (PRIMARY, AlgorithmError, ConnectionMatrix, Mark,
-                   MarkRegistry, PreconditionError, SweepTrace,
-                   require_valid, scan_diagonal)
-from .linalg import (conjugate, exact_div, freeze, identity, norm,
-                     ops_product)
+from .core import (PRIMARY, AlgorithmError, ConnectionMatrix,
+                   PreconditionError, SweepTrace, frozen_transitions,
+                   require_valid, sweep_diagonals)
+from .linalg import exact_div, norm
 
 
 def rc_transition_ops(delta_r, pivots):
@@ -49,26 +48,12 @@ def rc_transition_ops(delta_r, pivots):
 def row_cancellation(matrix):
     """Row Cancellation run; returns matrices for diagonals 0..m-1."""
     require_valid(matrix)
-    m = matrix.m
-    dense = matrix.to_dense()
-    unchanged = freeze(identity(m))
-    matrices = [freeze(dense)]
-    transitions = []
-    marks = []
-    primary_cols = set()
-    ops = []
-    for r in range(1, m):
-        transitions.append(freeze(ops_product(m, ops)) if ops else unchanged)
-        matrices.append(freeze(conjugate(dense, ops)) if ops else matrices[-1])
-        pivots = []
-        for i, j, _ in scan_diagonal(dense, m, r, primary_cols, (),
-                                     use_row_rule=False):
-            marks.append(Mark((i, j), PRIMARY, r, dense[i - 1][j - 1]))
-            primary_cols.add(j)
-            pivots.append((i, j))
-        ops = rc_transition_ops(dense, pivots)
-    return SweepTrace("rowcancel", matrix, tuple(matrices), tuple(transitions),
-                      MarkRegistry(tuple(marks)))
+    matrices, op_lists, registry = sweep_diagonals(
+        matrix, lambda dense, found, primaries: rc_transition_ops(
+            dense, [(i, j) for i, j, _ in found]),
+        use_row_rule=False)
+    return SweepTrace("rowcancel", matrix, tuple(matrices[:-1]),
+                      frozen_transitions(matrix.m, op_lists[:-1]), registry)
 
 
 def cancellation_schedule(trace):

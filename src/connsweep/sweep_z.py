@@ -6,6 +6,15 @@ pivot's basis column with an integer combination of columns of the same
 chain index that zeroes the pivot and everything below it, choosing the
 smallest possible positive leading coefficient. Intermediate matrices may
 still be fractional; only the combination itself is integral.
+
+The trace keeps the running basis P^r, whose column j is the combination
+found for a pivot in column j. The working matrix moves by
+T^r = (P^{r-1})^{-1} P^r through core.sweep_diagonals and linalg.conjugate:
+for each pivot, y = (P^{r-1})^{-1} x by one triangular solve gives the ops
+(s, j, y_s/y_j) for s != j and, when the leading coefficient leaves
+y_j != 1, the scaling op (j, j, y_j - 1). Column j of T^r is y and y is
+zero below row j, so taking the pivots in decreasing column order
+multiplies their factors out to T^r.
 """
 
 from __future__ import annotations
@@ -13,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import (PRIMARY, AlgorithmError, Mark, MarkRegistry,
-                   SweepTrace, require_valid, scan_diagonal)
-from .linalg import (clear_denominators, copy_matrix, freeze, identity,
-                     integer_kernel_basis, invert_upper, mat_mul,
-                     reduce_mod_lattice, xgcd)
+from .core import (PRIMARY, AlgorithmError, SweepTrace, require_valid,
+                   sweep_diagonals)
+from .linalg import (clear_denominators, exact_div, freeze, identity,
+                     integer_kernel_basis, reduce_mod_lattice, solve_upper,
+                     xgcd)
 
 
 @dataclass(frozen=True)
@@ -80,40 +89,38 @@ def sweep_over_z(matrix):
     """Integer sweeping; the trace also records every kernel problem solved."""
     require_valid(matrix)
     m = matrix.m
-    delta0 = matrix.to_dense()
-    p_prev = identity(m)
-    matrices = [freeze(delta0)]
-    transitions = [freeze(p_prev)]  # P^0
-    marks = []
+    basis = identity(m)  # P^r, updated in place
+    bases = [freeze(basis)]
     problems = []
-    primary_cols = set()
-    primary_rows = set()
-    for r in range(1, m):
-        dense = mat_mul(mat_mul(invert_upper(p_prev), delta0), p_prev)
-        matrices.append(freeze(dense))
-        cb = []
-        for i, j, kind in scan_diagonal(dense, m, r, primary_cols, primary_rows):
-            marks.append(Mark((i, j), kind, r, dense[i - 1][j - 1]))
+
+    def integer_min_ops(dense, found, primaries):
+        solved = []
+        for i, j, kind in found:
             if kind == PRIMARY:
-                primary_cols.add(j)
-                primary_rows.add(i)
-            else:
-                cb.append((i, j))
-        p_new = copy_matrix(p_prev)
-        for (i, j) in cb:
+                continue
             k = matrix.chain_index(j)
             rows_i = sorted(a for a in matrix.partition[k - 1] if a >= i)
             cols_j = sorted(col for col in matrix.partition[k] if col <= j)
-            a = [[delta0[row - 1][col - 1] for col in cols_j] for row in rows_i]
-            problem = KernelProblem(a, len(cols_j))
+            problem = KernelProblem(
+                [[matrix.entry(row, col) for col in cols_j] for row in rows_i],
+                len(cols_j))
             problems.append(problem)
-            x = solve_min_leading(problem)
-            for row in p_new:
-                row[j - 1] = 0
-            for col, xv in zip(cols_j, x):
-                p_new[col - 1][j - 1] = xv
-        transitions.append(freeze(p_new))
-        p_prev = p_new
-    matrices.append(freeze(mat_mul(mat_mul(invert_upper(p_prev), delta0), p_prev)))
-    return SweepTrace("z", matrix, tuple(matrices), tuple(transitions),
-                      MarkRegistry(tuple(marks)), kernel_problems=tuple(problems))
+            x = [0] * m
+            for col, xv in zip(cols_j, solve_min_leading(problem)):
+                x[col - 1] = xv
+            solved.append((j, x))
+        ops = []
+        for j, x in reversed(solved):
+            y = solve_upper(basis, x)
+            ops += [(s, j, exact_div(ys, y[j - 1]))
+                    for s, ys in enumerate(y, start=1) if ys and s != j]
+            if y[j - 1] != 1:
+                ops.append((j, j, y[j - 1] - 1))
+            for row, xv in zip(basis, x):
+                row[j - 1] = xv
+        bases.append(freeze(basis) if solved else bases[-1])
+        return ops
+
+    matrices, _, registry = sweep_diagonals(matrix, integer_min_ops)
+    return SweepTrace("z", matrix, tuple(matrices), tuple(bases), registry,
+                      kernel_problems=tuple(problems))

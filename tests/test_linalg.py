@@ -109,11 +109,15 @@ NONZERO = EXACT.filter(bool)
 @st.composite
 def ops_lists(draw, m, upper):
     """Op lists on 1..m; some ops take an earlier op's target as their
-    source, so consecutive ops need not commute."""
+    source, so consecutive ops need not commute, and some scale a basis
+    element (s == d, c != -1)."""
     ops = []
     for _ in range(draw(st.integers(0, 8))):
         chain = ops and draw(st.booleans())
         s = ops[-1][1] if chain else draw(st.integers(1, m))
+        if draw(st.integers(0, 3)) == 0:
+            ops.append((s, s, draw(NONZERO.filter(lambda c: c != -1))))
+            continue
         lo = s + 1 if upper else 1
         if lo > m:
             continue
@@ -133,7 +137,7 @@ def conjugation_cases(draw):
 
 def one_op(m, s, d, c):
     e = identity(m)
-    e[s - 1][d - 1] = c
+    e[s - 1][d - 1] += c
     return e
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
-                       accumulated_basis, invert_transition, sweep_accumulated,
-                       sweep_incremental, sweep_over_z, transition_ops)
+                       accumulated_basis, sweep_accumulated, sweep_incremental,
+                       sweep_over_z, transition_ops)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
 from connsweep.linalg import (freeze, identity, is_identity, mat_mul,
                               ops_product, thaw)
@@ -104,22 +104,6 @@ def test_transition_factorization_order_irrelevant():
         f2[4][5] = t[4][5]
         assert mat_mul(f1, f2) == t
         assert mat_mul(f2, f1) == t
-
-
-def test_invert_transition():
-    assert is_identity(invert_transition(identity(4)))
-    t = identity(4)
-    t[2][3] = Fraction(-3, 2)
-    inv = invert_transition(t)
-    assert inv[2][3] == Fraction(3, 2)
-    assert is_identity(mat_mul(t, inv))
-
-
-def test_invert_transition_random(small_corpus):
-    for cm in small_corpus[:15]:
-        trace = sweep_incremental(cm)
-        for t in trace.transitions:
-            assert is_identity(mat_mul(thaw(t), invert_transition(t)))
 
 
 def test_accumulated_equals_incremental(small_corpus):

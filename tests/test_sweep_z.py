@@ -102,8 +102,16 @@ def test_invariant_suite_on_random(small_corpus):
             assert ok, (name, detail)
 
 
+# Diagonal 4 holds two change-of-basis pivots of one chain group, (3, 7)
+# and (4, 8), whose basis changes multiply out right only in decreasing
+# column order.
+TWO_CB_ONE_GROUP = ConnectionMatrix(8, [{1, 2, 3, 4}, {5, 6, 7, 8}], {
+    (1, 6): 2, (2, 6): 1, (2, 7): -1, (3, 5): -3, (3, 6): 1, (3, 7): 3,
+    (4, 6): -2, (4, 7): -3, (4, 8): -1})
+
+
 def test_similarity_exact(small_corpus):
-    for cm in small_corpus[:10]:
+    for cm in small_corpus[:10] + [TWO_CB_ONE_GROUP]:
         trace = sweep_over_z(cm)
         delta0 = thaw(trace.matrices[0])
         for r in range(1, len(trace.matrices)):
