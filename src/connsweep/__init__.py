@@ -1,7 +1,8 @@
 """Exact-arithmetic sweeping and cancellation algorithms for filtered
 connection matrices, with oracle-backed verification and a CLI."""
 
-from .block_seq import BlockRun, block_runs, block_sequential_sweep, revised_one_block
+from .block_seq import (BlockRun, BlockTrace, block_runs,
+                        block_sequential_sweep, revised_one_block)
 from .cmx import parse_cmx, serialize_cmx
 from .core import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError, CmxError,
                    ConnectionMatrix, ConnSweepError, InvalidMatrixError, Mark,

@@ -2,7 +2,9 @@
 
 The block-sequential scheme runs the chosen one-block algorithm block by
 block: the input for block k keeps only the entries of J_{k-1} x J_k, with
-the rows of the previous block's pivot columns zeroed first. The revised
+the rows of the previous block's pivot columns zeroed first. block_runs
+returns the runs as one BlockTrace, which reads like a single run: its
+final matrix and marks are the blocks' ones put together. The revised
 one-block algorithm picks pivots bottom-up instead of diagonal by diagonal
 and cancels each pivot's whole row at once; it is column-echelon reduction
 minus the column swaps. On one-block input the rows of the pivot columns
@@ -12,6 +14,7 @@ are zero, so conjugating by its elementary ops changes columns only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (PRIMARY, ConnectionMatrix, Mark, MarkRegistry,
                    PreconditionError, SweepTrace, frozen_transitions,
@@ -24,18 +27,49 @@ from .sweep_f import sweep_incremental
 class BlockRun:
     """One step of the block-sequential scheme.
 
-    input_matrix is the one-block matrix actually swept; pivot_columns are
-    the columns of its final matrix holding primary pivots (they feed the
-    row zeroing of the next block).
+    trace is the run on the one-block matrix actually swept (trace.matrix);
+    pivot_columns are the columns of its final matrix holding primary pivots
+    (they feed the row zeroing of the next block).
     """
 
     k: int
-    input_matrix: ConnectionMatrix
     trace: object
     pivot_columns: frozenset
 
 
+@dataclass(frozen=True)
+class BlockTrace:
+    """Record of a block-sequential run: runner applied block by block.
+
+    runs holds one BlockRun per block k = 1..b. final merges the blocks'
+    final matrices, each on its own J_{k-1} x J_k; registry holds every
+    block's marks. runner is kept so that a verifier can run it on the whole
+    matrix as an independent reference.
+    """
+
+    matrix: ConnectionMatrix
+    runner: object
+    runs: tuple
+    algorithm = "block"
+
+    @cached_property
+    def final(self):
+        final = [[0] * self.matrix.m for _ in range(self.matrix.m)]
+        for run in self.runs:
+            block_final = run.trace.final
+            for i in self.matrix.partition[run.k - 1]:
+                for j in self.matrix.partition[run.k]:
+                    final[i - 1][j - 1] = block_final[i - 1][j - 1]
+        return freeze(final)
+
+    @cached_property
+    def registry(self):
+        return MarkRegistry(tuple(mk for run in self.runs
+                                  for mk in run.trace.registry.marks))
+
+
 def block_runs(matrix, runner):
+    """runner applied to each block k = 1..b in turn, as one BlockTrace."""
     require_valid(matrix)
     runs = []
     prev_pivot_cols = frozenset()
@@ -44,12 +78,11 @@ def block_runs(matrix, runner):
         cols = matrix.partition[k]
         entries = {(i, j): v for (i, j), v in matrix.entries.items()
                    if i in rows and j in cols and i not in prev_pivot_cols}
-        block_matrix = matrix.with_entries(entries)
-        trace = runner(block_matrix)
+        trace = runner(matrix.with_entries(entries))
         pivot_cols = frozenset(pos[1] for pos in trace.registry.primary_positions())
-        runs.append(BlockRun(k, block_matrix, trace, pivot_cols))
+        runs.append(BlockRun(k, trace, pivot_cols))
         prev_pivot_cols = pivot_cols
-    return runs
+    return BlockTrace(matrix, runner, tuple(runs))
 
 
 def block_sequential_sweep(matrix):

@@ -66,23 +66,25 @@ def _records(trace):
             yield (f"step {t}", [trace.registry.marks[t - 1]],
                    trace.transitions[t - 1], t)
         return
-    m = trace.matrix.m
-    for r in range(1, m):
-        t = trace.transitions[r] if r < len(trace.transitions) else None
-        yield (f"r {r}", trace.registry.on_diagonal(r), t, r)
+    for r in range(1, trace.matrix.m):
+        yield (f"r {r}", trace.registry.on_diagonal(r), trace.transitions[r], r)
 
 
 def _trace_records(trace, full):
     lines = []
+    if trace.algorithm == "block":
+        for run in trace.runs:
+            lines.append(f"block {run.k}")
+            lines.append("Jk_pivot_columns " +
+                         " ".join(str(c) for c in sorted(run.pivot_columns)))
+            lines.extend(_trace_records(run.trace, full))
+        return lines
     for label, marks, t, matrix_idx in _records(trace):
         lines.append(label)
         for mk in marks:
             lines.append(f"mark {mk.kind} {mk.position[0]} {mk.position[1]} {mk.value}")
         lines.append("transition")
-        if t is None:
-            lines.extend(f"entry {i} {i} 1" for i in range(1, trace.matrix.m + 1))
-        else:
-            lines.extend(_entry_lines(t))
+        lines.extend(_entry_lines(t))
         if full:
             lines.append("matrix")
             lines.extend(_entry_lines(trace.matrices[matrix_idx]))
@@ -101,61 +103,28 @@ def _write(path, lines):
         handle.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _final_matrix_of(result, matrix):
-    if isinstance(result, list):  # block runs
-        entries = {}
-        for run in result:
-            rows = matrix.partition[run.k - 1]
-            cols = matrix.partition[run.k]
-            final = run.trace.final
-            for i in rows:
-                for j in cols:
-                    v = final[i - 1][j - 1]
-                    if v:
-                        entries[(i, j)] = v
-        return matrix.with_entries(entries)
-    dense = result.final
-    entries = {(i, j): v
-               for i, row in enumerate(dense, start=1)
-               for j, v in enumerate(row, start=1) if v}
-    return matrix.with_entries(entries)
-
-
 def _cmd_run(args):
     matrix = _read_matrix(args.input)
-    runner = _RUNNERS[args.algorithm]
-    result = runner(matrix)
+    result = _RUNNERS[args.algorithm](matrix)
     outdir = args.output
     os.makedirs(outdir, exist_ok=True)
 
     trace_lines = [f"algorithm {args.algorithm}", f"m {matrix.m}"]
-    if isinstance(result, list):
-        pivot_lines = []
-        for run in result:
-            trace_lines.append(f"block {run.k}")
-            trace_lines.append("Jk_pivot_columns " +
-                               " ".join(str(c) for c in sorted(run.pivot_columns)))
-            trace_lines.extend(_trace_records(run.trace, args.trace == "full"))
-            pivot_lines.extend(_pivot_lines(run.trace.registry))
-        pivot_lines.sort(key=lambda s: (int(s.split()[1]), int(s.split()[3])))
-    else:
-        trace_lines.extend(_trace_records(result, args.trace == "full"))
-        pivot_lines = _pivot_lines(result.registry)
+    trace_lines.extend(_trace_records(result, args.trace == "full"))
     _write(os.path.join(outdir, "trace.txt"), trace_lines)
-    _write(os.path.join(outdir, "pivots.txt"), pivot_lines)
+    _write(os.path.join(outdir, "pivots.txt"), _pivot_lines(result.registry))
 
     if args.trace in ("final", "full"):
-        final = _final_matrix_of(result, matrix)
+        final = matrix.with_entries(
+            {(i, j): v for i, row in enumerate(result.final, start=1)
+             for j, v in enumerate(row, start=1) if v})
         with open(os.path.join(outdir, "final.cmx"), "w", encoding="utf-8") as fh:
             fh.write(serialize_cmx(final))
 
     if args.schedule:
-        if isinstance(result, list):
-            raise PreconditionError("schedule export needs a single-run algorithm")
-        lines = []
-        for r, (i, j) in cancellation_schedule(result):
-            lines.append(f"cancel page={r} pivot={i},{j} pair={i - 1},{j - 1}")
-        _write(os.path.join(outdir, "schedule.txt"), lines)
+        _write(os.path.join(outdir, "schedule.txt"),
+               [f"cancel page={r} pivot={i},{j} pair={i - 1},{j - 1}"
+                for r, (i, j) in cancellation_schedule(result)])
 
     if args.reduction:
         if args.algorithm not in ("rowcancel", "smale"):
@@ -174,16 +143,8 @@ def _cmd_run(args):
 
     status = EXIT_OK
     if args.verify:
-        if isinstance(result, list):
-            full = sweep_incremental(matrix)
-            checks = verify_mod.verify_block_runs(result, matrix, full)
-            for run in result:
-                for name, ok, detail in verify_mod.verify_trace(run.trace):
-                    checks.append((f"block{run.k}_{name}", ok, detail))
-        else:
-            checks = verify_mod.verify_trace(result)
         lines = []
-        for name, ok, detail in checks:
+        for name, ok, detail in verify_mod.verify_trace(result):
             lines.append(f"PASS {name}" if ok else f"FAIL {name}: {detail}")
             if not ok:
                 status = EXIT_VERIFY

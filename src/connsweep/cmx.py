@@ -4,7 +4,7 @@ Layout (UTF-8, `#` starts a comment, blank lines ignored):
 
     CMX 1
     m <int>
-    b <int>
+    b <int>             0 <= b <= max(m, 2)
     index <col> <k>     one line per column, every column exactly once
     entry <i> <j> <num>[/<den>]   optional, strictly above the diagonal
 
@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .core import (CmxError, ConnectionMatrix, allowable_pattern,
-                   require_valid)
+                   max_chain_index, require_valid)
 
 _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[+-]?\d+\Z")
@@ -85,6 +85,9 @@ def parse_cmx(source):
     b = _parse_int(tokens[1][0], lineno, tokens[1][1], "b")
     if b < 0:
         raise CmxError("b must be nonnegative", lineno, tokens[1][1])
+    if b > max_chain_index(m):
+        raise CmxError(f"b {b} exceeds max(m, 2) = {max_chain_index(m)}",
+                       lineno, tokens[1][1])
 
     partition = [set() for _ in range(b + 1)]
     chain_of = {}

@@ -144,6 +144,13 @@ def allowable_pattern(partition, m):
     return frozenset(positions)
 
 
+def max_chain_index(m):
+    """Largest b (chain groups J_0..J_b) accepted for m generators. Groups
+    may be empty, but more than m + 1 of them carry nothing; three always
+    fit, since every surface matrix has three."""
+    return max(m, 2)
+
+
 def validate(matrix):
     """All invariant violations of a ConnectionMatrix, as data (empty == valid)."""
     out = []
@@ -231,11 +238,12 @@ class MarkRegistry:
 class SweepTrace:
     """Record of one sweeping run: matrices, transitions and marks.
 
-    matrices holds one more matrix than transitions. For the accumulated
-    variants the transitions are the running change-of-basis matrices; for
-    the incremental variants and row cancellation they are the per-diagonal
-    ones. Row cancellation ("rowcancel") stops at the last swept diagonal,
-    without a final step.
+    matrices holds one more matrix than transitions. A diagonal sweep of an
+    m x m matrix (z, accumulated, incremental, rowcancel) keeps the m+1
+    matrices and m transitions of sweep_diagonals; the revised one-block run
+    keeps one of each per step. For the accumulated variants the
+    transitions are the running change-of-basis matrices; for the others
+    they are the per-diagonal (or per-step) ones.
     """
 
     algorithm: str

@@ -50,10 +50,6 @@ def identity(n):
     return out
 
 
-def copy_matrix(a):
-    return [row[:] for row in a]
-
-
 def freeze(a):
     return tuple(tuple(row) for row in a)
 
@@ -68,10 +64,6 @@ def is_identity(a):
             if v != (1 if i == j else 0):
                 return False
     return True
-
-
-def is_zero_matrix(a):
-    return all(not v for row in a for v in row)
 
 
 def mat_eq(a, b):
@@ -109,17 +101,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, x):
-    out = []
-    for row in a:
-        s = 0
-        for v, xv in zip(row, x):
-            if v and xv:
-                s += v * xv
-        out.append(norm(s))
-    return out
-
-
 def solve_upper(u, b):
     """x with u @ x == b, for u upper-triangular with nonzero diagonal."""
     n = len(u)
@@ -133,15 +114,6 @@ def solve_upper(u, b):
         if s:
             x[i] = exact_div(s, row[i])
     return x
-
-
-def invert_upper(u):
-    """Inverse of an upper-triangular matrix with nonzero diagonal."""
-    n = len(u)
-    if not all(u[i][i] for i in range(n)):
-        raise ValueError("zero diagonal entry in triangular inverse")
-    cols = [solve_upper(u, [int(i == c) for i in range(n)]) for c in range(n)]
-    return [list(row) for row in zip(*cols)]
 
 
 def _add_column(a, s, d, c):
@@ -186,35 +158,34 @@ def ops_product(m, ops):
     return t
 
 
-def rank(a):
-    """Exact rank via Gaussian elimination (input left untouched)."""
-    if not a or not a[0]:
-        return 0
-    m = [row[:] for row in a]
-    n_rows, n_cols = len(m), len(m[0])
+def prefix_ranks(rows, n_cols):
+    """Exact ranks of the column prefixes: entry c is the rank of the first
+    c columns of rows, for c = 0..n_cols. One Gaussian elimination, column
+    by column; the input is left untouched."""
+    work = [list(row) for row in rows]
+    ranks = [0]
     r = 0
     for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, n_rows):
-            f = m[i][c]
-            if f:
-                factor = exact_div(f, pv)
-                mi, mr = m[i], m[r]
-                for k in range(c, n_cols):
-                    if mr[k]:
-                        mi[k] = norm(mi[k] - factor * mr[k])
-        r += 1
-        if r == n_rows:
-            break
-    return r
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is not None:
+            work[r], work[piv] = work[piv], work[r]
+            wr = work[r]
+            pv = wr[c]
+            for wi in work[r + 1:]:
+                f = wi[c]
+                if f:
+                    factor = exact_div(f, pv)
+                    for k in range(c, n_cols):
+                        if wr[k]:
+                            wi[k] = norm(wi[k] - factor * wr[k])
+            r += 1
+        ranks.append(r)
+    return ranks
+
+
+def rank(a):
+    """Exact rank via Gaussian elimination (input left untouched)."""
+    return prefix_ranks(a, len(a[0]) if a else 0)[-1]
 
 
 def bareiss_det(a):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import ConnectionMatrix, require_valid
-from .linalg import clear_denominators, exact_div, norm
+from .core import ConnectionMatrix, max_chain_index, require_valid
+from .linalg import clear_denominators, prefix_ranks
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,12 @@ class RandomSpec:
     density: float = 0.5
     values: tuple = (-1, 0, 1)
     sizes: tuple | None = None
+
+    def __post_init__(self):
+        # parse_cmx's bounds, so that every spec serializes to a valid file
+        if self.m < 1 or not 0 <= self.b <= max_chain_index(self.m):
+            raise ValueError(f"need m >= 1 and 0 <= b <= max(m, 2), got "
+                             f"m {self.m}, b {self.b}")
 
 
 def _split_sizes(m, b, sizes):
@@ -142,7 +148,7 @@ def pivot_rank_oracle(matrix):
                   for j in cols] for i in rows]
         nr, nc = len(rows), len(cols)
         # table[i][j] = rank of block rows i.. (0-based), columns < j
-        table = [_suffix_prefix_ranks(block, i, nc) for i in range(nr + 1)]
+        table = [prefix_ranks(block[i:], nc) for i in range(nr + 1)]
         block_pivots = set()
         for li in range(nr):
             for lj in range(1, nc + 1):
@@ -153,33 +159,6 @@ def pivot_rank_oracle(matrix):
         pivots |= block_pivots
         prev_pivot_cols = {j for (_, j) in block_pivots}
     return frozenset(pivots)
-
-
-def _suffix_prefix_ranks(block, start_row, nc):
-    """Ranks of (rows start_row.., columns < j) for j = 0..nc, in one pass."""
-    work = [row[:] for row in block[start_row:]]
-    ranks = [0] * (nc + 1)
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is not None:
-            work[r], work[piv] = work[piv], work[r]
-            pv = work[r][c]
-            for i in range(r + 1, len(work)):
-                f = work[i][c]
-                if f:
-                    factor = exact_div(f, pv)
-                    wi, wr = work[i], work[r]
-                    for kk in range(c, nc):
-                        if wr[kk]:
-                            wi[kk] = norm(wi[kk] - factor * wr[kk])
-            r += 1
-        ranks[c + 1] = r
-    return ranks
 
 
 @dataclass(frozen=True)

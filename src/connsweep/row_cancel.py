@@ -7,7 +7,9 @@ operations from the pivot column. These are elementary ops like the
 incremental sweep's, from rc_transition_ops, applied by the same diagonal
 loop (core.sweep_diagonals) and conjugation kernel, whose row operations
 only ever touch rows that end up zero. The run is recorded as a SweepTrace
-labelled "rowcancel", with one matrix per swept diagonal and no final step.
+labelled "rowcancel", shaped like every other diagonal sweep's: m+1
+matrices and m transitions. The last diagonal holds only (1, m), with
+nothing right of it, so its transition is the identity.
 
 Also here: the per-step reduced matrices obtained by deleting each
 cancelled row/column pair, and the cancellation schedule read off a trace.
@@ -46,14 +48,14 @@ def rc_transition_ops(delta_r, pivots):
 
 
 def row_cancellation(matrix):
-    """Row Cancellation run; returns matrices for diagonals 0..m-1."""
+    """Row Cancellation run; returns the trace of matrices and transitions."""
     require_valid(matrix)
     matrices, op_lists, registry = sweep_diagonals(
         matrix, lambda dense, found, primaries: rc_transition_ops(
             dense, [(i, j) for i, j, _ in found]),
         use_row_rule=False)
-    return SweepTrace("rowcancel", matrix, tuple(matrices[:-1]),
-                      frozen_transitions(matrix.m, op_lists[:-1]), registry)
+    return SweepTrace("rowcancel", matrix, tuple(matrices),
+                      frozen_transitions(matrix.m, op_lists), registry)
 
 
 def cancellation_schedule(trace):
@@ -96,9 +98,9 @@ def reduce_complex(trace):
     are deleted outright, keeping the original labels on the survivors.
 
     A pivot found on diagonal xi takes effect in the next matrix, so stage r
-    deletes the pairs of every pivot with diagonal < r; the closing stage m
-    deletes them all (the last diagonal's pivots have nothing to cancel, so
-    the final matrix serves for it unchanged). Removals are cumulative.
+    reads matrix r of the trace and deletes the pairs of every pivot with
+    diagonal < r; the closing stage m reads the final matrix and deletes
+    them all. Removals are cumulative.
     """
     m = trace.matrix.m
     pivots = sorted(((mk.position[0], mk.position[1], mk.diagonal)
@@ -115,7 +117,7 @@ def reduce_complex(trace):
                 if xi == r - 1:
                     new_pairs.append((i, j, xi))
         surviving = tuple(idx for idx in range(1, m + 1) if idx not in removed)
-        source = trace.matrices[min(r, m - 1)]
+        source = trace.matrices[r]
         entries = {}
         for i in surviving:
             row = source[i - 1]

@@ -199,7 +199,6 @@ def verify_row_cancellation(trace):
     marks = trace.registry.marks
     _below_diagonal_structure(out, "below_diagonal_pivot_structure",
                               trace.matrices, marks)
-    m = trace.matrix.m
     mats = trace.matrices
 
     bad = []
@@ -213,7 +212,7 @@ def verify_row_cancellation(trace):
     bad = []
     for mk in marks:
         i, j = mk.position
-        for s in range(mk.diagonal + 1, m):
+        for s in range(mk.diagonal + 1, len(mats)):
             if any(mats[s][j - 1]):
                 bad.append(f"row {j} not zero in matrix {s} after its pivot")
                 break
@@ -222,7 +221,7 @@ def verify_row_cancellation(trace):
     bad = []
     for mk in marks:
         i, j = mk.position
-        for s in range(mk.diagonal + 1, m):
+        for s in range(mk.diagonal + 1, len(mats)):
             if any(mats[s][i - 1][j:]):
                 bad.append(f"matrix {s}: entries right of pivot {(i, j)} not zero")
                 break
@@ -345,6 +344,12 @@ def verify_block_runs(runs, matrix, full_trace):
 
 
 def verify_trace(trace):
+    """Every check for the trace of any run: a SweepTrace, or a BlockTrace.
+
+    A block trace is checked against a run of its runner on the whole
+    matrix, the independent reference for verify_block_runs, and then run
+    by run, each run's check names prefixed with block{k}_.
+    """
     algorithm = getattr(trace, "algorithm", None)
     if algorithm in ("z", "accumulated", "incremental"):
         return verify_sweep(trace)
@@ -352,4 +357,11 @@ def verify_trace(trace):
         return verify_row_cancellation(trace)
     if algorithm == "revised1":
         return verify_revised(trace)
+    if algorithm == "block":
+        out = verify_block_runs(trace.runs, trace.matrix,
+                                trace.runner(trace.matrix))
+        for run in trace.runs:
+            out.extend((f"block{run.k}_{name}", ok, detail)
+                       for name, ok, detail in verify_trace(run.trace))
+        return out
     raise ValueError(f"no verifier for algorithm {algorithm!r}")

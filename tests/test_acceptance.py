@@ -186,9 +186,9 @@ def general_results():
                 failures["ac13"].append(tag + f" ({name}: {detail})")
 
         if idx < UNCOUPLING_COUNT:
-            for runs, full in ((block_sequential_sweep(cm), ti),
-                               (block_sequential_row_cancellation(cm), tr)):
-                for name, ok, detail in verify_block_runs(runs, cm, full):
+            for block, full in ((block_sequential_sweep(cm), ti),
+                                (block_sequential_row_cancellation(cm), tr)):
+                for name, ok, detail in verify_block_runs(block.runs, cm, full):
                     if not ok:
                         failures["ac4"].append(tag + f" ({name})")
     return failures

@@ -8,35 +8,35 @@ from connsweep.verify import verify_block_runs, verify_revised
 
 
 def test_block_sweep_sphere():
-    runs = block_sequential_sweep(FIX_SPHERE)
+    runs = block_sequential_sweep(FIX_SPHERE).runs
     assert [run.k for run in runs] == [1, 2]
     assert runs[0].pivot_columns == {3}
     assert runs[1].pivot_columns == frozenset()
-    assert runs[1].input_matrix.entries == {}
+    assert runs[1].trace.matrix.entries == {}
 
 
 def test_block_sweep_zero():
     assert all(run.pivot_columns == frozenset()
-               for run in block_sequential_sweep(FIX_ZERO))
+               for run in block_sequential_sweep(FIX_ZERO).runs)
 
 
 def test_block_sweep_tucb():
-    runs = block_sequential_sweep(FIX_TUCB)
+    runs = block_sequential_sweep(FIX_TUCB).runs
     assert runs[0].pivot_columns == {3}
 
 
 def test_block_input_zeroes_previous_pivot_rows():
     cm = ConnectionMatrix(3, [{1}, {2}, {3}], {(1, 2): 1, (2, 3): 1})
-    runs = block_sequential_sweep(cm)
+    runs = block_sequential_sweep(cm).runs
     assert runs[0].pivot_columns == {2}
     # row 2 is zeroed before block 2 runs, so its entry disappears
-    assert runs[1].input_matrix.entries == {}
+    assert runs[1].trace.matrix.entries == {}
     assert runs[1].pivot_columns == frozenset()
 
 
 def test_uncoupling_on_random(small_corpus):
     for cm in small_corpus[:30]:
-        runs = block_sequential_sweep(cm)
+        runs = block_sequential_sweep(cm).runs
         full = sweep_incremental(cm)
         for name, ok, detail in verify_block_runs(runs, cm, full):
             assert ok, (name, detail)

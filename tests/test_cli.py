@@ -67,6 +67,29 @@ def test_run_verify_and_schedule_and_reduction(sphere_path, tmp_path):
     assert "# surviving 1 4" in step2 and "# removed 2 3 diagonal 1" in step2
 
 
+def test_run_block_matches_incremental(tmp_path):
+    src = str(tmp_path / "r.cmx")
+    assert main(["gen", "random", "--seed", "7", "--m", "14", "--b", "3",
+                 "--density", "0.6", "--values=-3..3", "-o", src]) == 0
+    out = {}
+    for algorithm in ("block", "incremental"):
+        out[algorithm] = str(tmp_path / algorithm)
+        assert main(["run", "-a", algorithm, src, "-o", out[algorithm],
+                     "--trace", "full", "--verify", "--schedule"]) == 0
+    verify = read(os.path.join(out["block"], "verify.txt")).splitlines()
+    assert all(line.startswith("PASS ") for line in verify)
+    names = {line.split()[1] for line in verify}
+    assert {"uncoupling_blocks", "uncoupling_marks"} <= names
+    assert {f"block{k}_similarity" for k in (1, 2, 3)} <= names
+    trace = read(os.path.join(out["block"], "trace.txt")).splitlines()
+    assert [line for line in trace if line.startswith("block ")] == \
+        ["block 1", "block 2", "block 3"]
+    assert read(os.path.join(out["block"], "schedule.txt"))
+    for name in ("pivots.txt", "final.cmx", "schedule.txt"):
+        assert read(os.path.join(out["block"], name)) == \
+            read(os.path.join(out["incremental"], name))
+
+
 def test_compare(sphere_path, tmp_path, capsys):
     out_z = str(tmp_path / "z")
     out_rc = str(tmp_path / "rc")
@@ -145,6 +168,11 @@ def test_gen_random_round_trips(tmp_path):
     assert main(args) == 0
     assert read(str(out)) == first
     parse_cmx(first)
+    refused = tmp_path / "refused.cmx"
+    for m, b in (("3", "4"), ("5", "-1"), ("0", "0")):
+        assert main(["gen", "random", "--seed", "4", "--m", m, "--b", b,
+                     "-o", str(refused)]) == 1
+    assert not refused.exists()
 
 
 def test_exit_codes_io_and_precondition(tmp_path, capsys):

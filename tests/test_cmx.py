@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
-from connsweep import CmxError, parse_cmx, serialize_cmx
+from connsweep import (CmxError, RandomSpec, generate_surface_matrix,
+                       parse_cmx, serialize_cmx)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_ZERO
 
 SPHERE_TEXT = """\
@@ -80,6 +83,21 @@ def test_header_and_partition_errors():
     with pytest.raises(CmxError) as err:
         parse_cmx("CMX 1\nm 1\nb 0\nindex 1 4\n")
     assert "chain index" in str(err.value) and err.value.col == 9
+
+
+def test_oversized_b_rejected_before_allocating():
+    start = time.perf_counter()
+    with pytest.raises(CmxError) as err:
+        parse_cmx("CMX 1\nm 1\nb 200000\nindex 1 0\n")
+    assert time.perf_counter() - start < 0.5
+    assert "max(m, 2)" in str(err.value) and err.value.line == 3
+    for m, b in ((1, 3), (5, -1), (0, 0)):
+        with pytest.raises(ValueError):
+            RandomSpec(seed=0, m=m, b=b)
+    # one generator still takes three chain groups: a lone well
+    surface = generate_surface_matrix(0, (1, 0, 0))
+    assert surface.m == 1 and surface.b == 2
+    assert parse_cmx(serialize_cmx(surface)) == surface
 
 
 def test_parse_accepts_stream():

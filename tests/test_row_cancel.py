@@ -23,7 +23,7 @@ def test_sphere():
     assert pivots_of(trace) == [((2, 3), 1, -1)]
     assert is_identity(thaw(trace.transitions[1]))
     assert trace.final == trace.matrices[0]
-    assert len(trace.matrices) == 4 and len(trace.transitions) == 3
+    assert len(trace.matrices) == 5 and len(trace.transitions) == 4
 
 
 def test_cb():
@@ -165,16 +165,16 @@ def test_per_diagonal_pivots_match_incremental(small_corpus):
 
 
 def test_block_sequential_row_cancellation():
-    runs = block_sequential_row_cancellation(FIX_SPHERE)
+    runs = block_sequential_row_cancellation(FIX_SPHERE).runs
     assert runs[0].pivot_columns == {3}
     assert runs[1].pivot_columns == frozenset()
     assert all(run.pivot_columns == frozenset()
-               for run in block_sequential_row_cancellation(FIX_ZERO))
+               for run in block_sequential_row_cancellation(FIX_ZERO).runs)
 
 
 def test_block_sequential_rc_uncoupling(small_corpus):
     for cm in small_corpus[:25]:
-        runs = block_sequential_row_cancellation(cm)
+        runs = block_sequential_row_cancellation(cm).runs
         full = row_cancellation(cm)
         for name, ok, detail in verify_block_runs(runs, cm, full):
             assert ok, (name, detail)

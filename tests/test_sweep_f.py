@@ -10,6 +10,7 @@ from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
 from connsweep.linalg import (freeze, identity, is_identity, mat_mul,
                               ops_product, thaw)
 from connsweep.verify import verify_sweep
+from reference import invert_upper
 
 
 def marks_of(trace):
@@ -126,7 +127,6 @@ def test_blockwise_update_lemma(small_corpus):
                 cols = sorted(cm.partition[k])
                 if not rows or not cols:
                     continue
-                from connsweep.linalg import invert_upper
                 t_rr = [[t[a - 1][b - 1] for b in rows] for a in rows]
                 t_cc = [[t[a - 1][b - 1] for b in cols] for a in cols]
                 block_prev = [[prev[a - 1][b - 1] for b in cols] for a in rows]

@@ -44,6 +44,7 @@ def test_complementarity_violation_detected():
     bad = doctor_final(trace, 3, 4, 1)
     names = failing(verify_row_cancellation(bad))
     assert "final_complementarity" in names
+    assert "pivot_row_zeroed" in names  # the final matrix is checked too
 
 
 def test_dead_pivot_detected():
