@@ -116,14 +116,18 @@ def revised_one_block(matrix):
     matrices = [freeze(dense)]
     op_lists = []
     marks = []
+    # Pivot rows strictly descend: rows at or below a pivot row stay zero
+    # over the active columns, so each scan starts just above the last one.
+    below = m + 1
     while True:
         i_t = None
-        for i in range(m, 0, -1):
+        for i in range(below - 1, 0, -1):
             if any(dense[i - 1][j - 1] for j in active):
                 i_t = i
                 break
         if i_t is None:
             break
+        below = i_t
         row = dense[i_t - 1]
         j_t = min(j for j in active if row[j - 1])
         piv = row[j_t - 1]

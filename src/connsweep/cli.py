@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from itertools import compress, count
 
 from . import verify as verify_mod
 from .block_seq import block_sequential_sweep, revised_one_block
@@ -53,9 +54,9 @@ def _read_matrix(path):
 def _entry_lines(dense):
     out = []
     for i, row in enumerate(dense, start=1):
-        for j, v in enumerate(row, start=1):
-            if v:
-                out.append(f"entry {i} {j} {v}")
+        if any(row):
+            out.extend(f"entry {i} {j} {row[j - 1]}"
+                       for j in compress(count(1), row))
     return out
 
 

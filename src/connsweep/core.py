@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
+from operator import ne
 
-from .linalg import as_exact, conjugate, freeze, identity, ops_product
+from .linalg import as_exact, conjugate, freeze, identity, norm, ops_product, thaw
 
 Position = tuple[int, int]
 
@@ -340,18 +342,30 @@ def accumulated_basis(trace):
 
     Entry r is the change of basis taking the original basis to the one of
     matrix r+1; column j of it expands the j-th basis element. Accumulated
-    traces store these directly, incremental ones multiply out lazily.
+    traces store these directly, incremental ones multiply out lazily:
+    P^r = P^{r-1} T^r recomputes only the columns j where T^r differs from
+    the identity, as the sum of P^{r-1}[:, k] T^r[k][j] over T^r's nonzeros
+    in column j.
     """
-    from .linalg import is_identity, mat_mul, thaw
-
     if trace.algorithm in ("z", "accumulated"):
         return [thaw(t) for t in trace.transitions]
+    units = freeze(identity(trace.matrix.m))
     out = []
     acc = None
     for t in trace.transitions:
         if acc is None:
             acc = thaw(t)
-        elif not is_identity(t):
-            acc = mat_mul(acc, thaw(t))
+        else:
+            changed = list(compress(count(), map(ne, t, units)))
+            cols = {j for k in changed
+                    for j in compress(count(), map(ne, t[k], units[k]))}
+            if cols:
+                new = [row[:] for row in acc]
+                for j in cols:
+                    terms = [(k, t[k][j]) for k in {j, *changed} if t[k][j]]
+                    for row, new_row in zip(acc, new):
+                        new_row[j] = norm(sum(row[k] * c for k, c in terms
+                                              if row[k]))
+                acc = new
         out.append(acc)
     return out

@@ -15,10 +15,8 @@ from math import gcd
 
 def norm(v):
     """Collapse integral fractions to int so later arithmetic stays fast."""
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return int(v)
-        return v
+    if type(v) is Fraction and v.denominator == 1:
+        return int(v)
     return v
 
 
@@ -56,49 +54,6 @@ def freeze(a):
 
 def thaw(a):
     return [list(row) for row in a]
-
-
-def is_identity(a):
-    for i, row in enumerate(a):
-        for j, v in enumerate(row):
-            if v != (1 if i == j else 0):
-                return False
-    return True
-
-
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for va, vb in zip(ra, rb):
-            if va != vb:
-                return False
-    return True
-
-
-def mat_mul(a, b):
-    """a @ b with zero-skipping; exact."""
-    n = len(a)
-    inner = len(b)
-    p = len(b[0]) if inner else 0
-    out = [[0] * p for _ in range(n)]
-    for i in range(n):
-        row_a = a[i]
-        out_i = out[i]
-        for k in range(inner):
-            aik = row_a[k]
-            if aik:
-                row_b = b[k]
-                for j in range(p):
-                    bkj = row_b[j]
-                    if bkj:
-                        out_i[j] += aik * bkj
-    for row in out:
-        for j, v in enumerate(row):
-            row[j] = norm(v)
-    return out
 
 
 def solve_upper(u, b):

@@ -240,12 +240,14 @@ def generate_surface_matrix(seed, sizes, density=1.0, flips=0):
     row joining two sources), and coupled saddle pairs carrying two sources
     over equal well columns. density in [0, 1] scales how many pieces are
     placed; flips applies that many random sign flips afterwards. Degenerate
-    sizes yield zero matrices.
+    sizes yield zero matrices, but at least one generator is required.
     """
     n0, n1, n2 = sizes
     if min(n0, n1, n2) < 0:
         raise PreconditionError("sizes must be nonnegative")
     m = n0 + n1 + n2
+    if m == 0:
+        raise PreconditionError("sizes must give at least one generator")
     wells = list(range(1, n0 + 1))
     saddles = list(range(n0 + 1, n0 + n1 + 1))
     sources = list(range(n0 + n1 + 1, m + 1))

@@ -20,8 +20,9 @@ from connsweep import (PRIMARY, RandomSpec, accumulated_basis,
                        reduce_complex, revised_one_block, row_cancellation,
                        sweep_accumulated, sweep_incremental, sweep_over_z)
 from connsweep.fixtures import FIX_FIG3L, FIX_FIG3R
-from connsweep.linalg import is_identity, mat_eq, mat_mul, thaw
+from connsweep.linalg import thaw
 from connsweep.verify import verify_block_runs, verify_row_cancellation
+from reference import is_identity, mat_eq, mat_mul
 
 SURFACE_COUNT = 500
 TU_COUNT = 500

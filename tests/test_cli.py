@@ -145,6 +145,14 @@ def test_surface_check_and_gen(tmp_path, capsys, sphere_path):
     assert parse_cmx(read(str(out))) == FIX_SPHERE
 
 
+def test_surface_gen_rejects_empty_sizes(capsys):
+    assert main(["surface", "gen", "--wells", "0", "--saddles", "0",
+                 "--sources", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least one generator" in captured.err
+
+
 def test_oracle_pivots(cb_path, capsys):
     assert main(["oracle", "pivots", cb_path]) == 0
     assert capsys.readouterr().out == "pivot 2 3\n"

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connsweep.linalg import (bareiss_det, clear_denominators, conjugate,
-                              exact_div, identity, integer_kernel_basis,
-                              is_identity, mat_mul, norm, ops_product, rank,
-                              reduce_mod_lattice, xgcd)
-from reference import invert_upper
+                              exact_div, identity, integer_kernel_basis, norm,
+                              ops_product, rank, reduce_mod_lattice, xgcd)
+from reference import invert_upper, is_identity, mat_mul
 
 
 def test_norm_and_exact_div():

@@ -4,9 +4,10 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        InvalidMatrixError, KernelProblem, ConnectionMatrix,
                        marks_on_diagonal, solve_min_leading, sweep_over_z)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_ZERO
-from connsweep.linalg import is_identity, mat_mul, thaw
+from connsweep.linalg import thaw
 from connsweep.oracles import ilp_brute_force
 from connsweep.verify import verify_sweep
+from reference import is_identity, mat_mul
 
 
 def marks_of(trace):

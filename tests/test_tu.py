@@ -9,8 +9,9 @@ from connsweep import (ConnectionMatrix, PreconditionError, SizeGuardError,
                        is_totally_unimodular, sample_non_tu_witness,
                        sweep_incremental, validate)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.linalg import bareiss_det, mat_mul, thaw
+from connsweep.linalg import bareiss_det, thaw
 from connsweep.tu import _dense_is_tu
+from reference import mat_mul
 
 
 def naive_dense_tu(rows):

@@ -2,12 +2,24 @@
 bless good ones; doctor finished traces and watch the right check fail."""
 
 import dataclasses
+from fractions import Fraction
 
-from connsweep import row_cancellation, sweep_incremental, sweep_over_z
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from connsweep import (RandomSpec, block_sequential_sweep,
+                       random_connection_matrix, revised_one_block,
+                       row_cancellation, sweep_accumulated, sweep_incremental,
+                       sweep_over_z)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE
 from connsweep.linalg import thaw, freeze
 from connsweep.verify import (verify_row_cancellation, verify_sweep,
                               verify_trace)
+from reference import similarity_holds
+
+RUNNERS = {"z": sweep_over_z, "accumulated": sweep_accumulated,
+           "incremental": sweep_incremental, "rowcancel": row_cancellation,
+           "revised1": revised_one_block, "block": block_sequential_sweep}
 
 
 def failing(checks):
@@ -52,3 +64,54 @@ def test_dead_pivot_detected():
     bad = doctor_final(trace, 2, 3, 0)
     names = failing(verify_row_cancellation(bad))
     assert "below_diagonal_pivot_structure" in names
+
+
+@st.composite
+def corrupted_traces(draw, stored=("matrices", "transitions")):
+    """A finished trace of any algorithm with one entry of one stored
+    matrix or transition changed; a block trace has it in one of its runs.
+    Returns the trace and its sweep traces keyed by their check names'
+    prefix ("" unless block)."""
+    algorithm = draw(st.sampled_from(sorted(RUNNERS)))
+    m = draw(st.integers(3, 9))
+    matrix = random_connection_matrix(RandomSpec(
+        seed=draw(st.integers(0, 10**6)), m=m,
+        b=1 if algorithm == "revised1" else draw(st.integers(1, 3)),
+        style=draw(st.sampled_from(("grouped", "scattered"))),
+        density=draw(st.floats(0.3, 0.9)), values=tuple(range(-3, 4))))
+    trace = RUNNERS[algorithm](matrix)
+    runs = list(trace.runs) if algorithm == "block" else []
+    at = draw(st.integers(0, len(runs) - 1)) if runs else None
+    target = runs[at].trace if runs else trace
+    field = draw(st.sampled_from(stored))
+    seq = list(getattr(target, field))
+    if not seq:  # a revised run on a zero matrix has no transitions
+        field, seq = "matrices", list(target.matrices)
+    k = draw(st.integers(0, len(seq) - 1))
+    i, j = draw(st.integers(1, m)), draw(st.integers(1, m))
+    changed = thaw(seq[k])
+    changed[i - 1][j - 1] += draw(st.sampled_from(
+        (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))))
+    seq[k] = freeze(changed)
+    target = dataclasses.replace(target, **{field: tuple(seq)})
+    if not runs:
+        return target, {"": target}
+    runs[at] = dataclasses.replace(runs[at], trace=target)
+    return (dataclasses.replace(trace, runs=tuple(runs)),
+            {f"block{run.k}_": run.trace for run in runs})
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_traces())
+def test_similarity_verdict_matches_dense_product(case):
+    trace, sweeps = case
+    verdicts = {name: ok for name, ok, _ in verify_trace(trace)}
+    for prefix, sweep in sweeps.items():
+        assert verdicts[prefix + "similarity"] == similarity_holds(sweep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_traces(stored=("matrices",)))
+def test_any_changed_matrix_entry_fails_a_check(case):
+    trace, _ = case
+    assert failing(verify_trace(trace))
