@@ -89,7 +89,6 @@ def parse_cmx(source):
         raise CmxError(f"b {b} exceeds max(m, 2) = {max_chain_index(m)}",
                        lineno, tokens[1][1])
 
-    partition = [set() for _ in range(b + 1)]
     chain_of = {}
     for _ in range(m):
         lineno, tokens = next_line("'index <col> <k>'")
@@ -104,9 +103,12 @@ def parse_cmx(source):
         if not 0 <= k <= b:
             raise CmxError(f"chain index {k} outside 0..{b}", lineno, tokens[2][1])
         chain_of[col] = k
-        partition[k].add(col)
     if len(chain_of) != m:
         raise CmxError(f"partition does not cover 1..{m}")
+    # Only now, after m index lines: b + 1 sets then cost no more than the input.
+    partition = [set() for _ in range(b + 1)]
+    for col, k in chain_of.items():
+        partition[k].add(col)
 
     pattern = allowable_pattern(partition, m)
     entries = {}

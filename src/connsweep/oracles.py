@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import ConnectionMatrix, max_chain_index, require_valid
+from .core import ConnectionMatrix, PreconditionError, max_chain_index, require_valid
 from .linalg import clear_denominators, prefix_ranks
 
 
@@ -167,16 +167,28 @@ class IlpWitness:
     witness: tuple
 
 
+ILP_MAX_BOX = 21 ** 5  # points in the box of c = 6, bound = 10: seconds to enumerate
+
+
+def ilp_box_fits(c, bound):
+    """Whether the box |x_i| <= bound of a c-column problem, (2 bound + 1)^(c - 1)
+    points for the first c - 1 coordinates, is small enough to enumerate."""
+    return (2 * bound + 1) ** (c - 1) <= ILP_MAX_BOX
+
+
 def ilp_brute_force(problem, bound):
     """Enumerate integer kernel vectors within the box |x_i| <= bound.
 
     Returns the minimal positive last coordinate with one witness, or None
     when no solution exists inside the box. Coordinates are tried in order
     of absolute value (positive first), so the witness is deterministic and
-    small. Desk scale only: meant for c <= 6, bound <= 10.
+    small. Desk scale only: a box past ILP_MAX_BOX points is refused up front.
     """
-    rows = clear_denominators([list(r) for r in problem.a])
     c = problem.c
+    if not ilp_box_fits(c, bound):
+        raise PreconditionError(f"the box |x_i| <= {bound} over {c} columns has more "
+                                f"than {ILP_MAX_BOX} points to enumerate")
+    rows = clear_denominators([list(r) for r in problem.a])
     n_rows = len(rows)
     # suffix[j][i] = max |contribution| of coordinates j.. to row i
     suffix = [[0] * n_rows for _ in range(c)]

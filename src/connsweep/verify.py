@@ -15,25 +15,22 @@ Delta^r + Delta^r N. Only the rows in N's row support change on the left
 and only the columns in its column support on the right, so a link costs
 one row-by-row comparison of two matrices plus work proportional to the
 nonzeros N meets, not an m x m product.
+
+Every stored transition obeys one rule (_transition_structure): upper
+triangular within chain groups, a unit diagonal (nonzero for the integer
+running bases), and no change outside what the marks of its step allow,
+read from T - I, or from P^r - P^{r-1} for a running basis.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import compress, count
 from operator import eq, ne
 
 from .core import CHANGE_OF_BASIS, PRIMARY, allowable_pattern, validate
 from .linalg import freeze, identity
-from .oracles import ilp_brute_force
+from .oracles import ilp_box_fits, ilp_brute_force
 from .sweep_z import solve_min_leading
-
-
-def _nonzeros(dense):
-    for i, row in enumerate(dense, start=1):
-        if any(row):
-            for j in compress(count(1), row):
-                yield (i, j), row[j - 1]
 
 
 def _row_changes(t, base):
@@ -92,18 +89,24 @@ def _right_update(base, a_cols, d):
         yield row
 
 
-def _delta0_products(trace):
+def _basis_steps(bases):
+    """P^r - P^{r-1} as row changes for each running basis P^r (P^{-1} = I):
+    what each step changed."""
+    units = freeze(identity(len(bases[0])))
+    return [_row_changes(p, prev) for prev, p in zip((units, *bases), bases)]
+
+
+def _delta0_products(trace, steps):
     """Delta^0 P for each stored running basis P, each from the one before:
-    Delta^0 P^r = Delta^0 P^{r-1} + Delta^0 (P^r - P^{r-1})."""
+    Delta^0 P^r = Delta^0 P^{r-1} + Delta^0 (P^r - P^{r-1}), the last term
+    from steps (_basis_steps)."""
     delta0 = trace.matrices[0]
     cols = list(zip(*delta0))
-    prev = freeze(identity(len(delta0)))
     product = list(delta0)
     products = []
-    for p in trace.transitions:
-        product = list(_right_update(product, cols, _row_changes(p, prev)))
+    for step in steps:
+        product = list(_right_update(product, cols, step))
         products.append(product)
-        prev = p
     return products
 
 
@@ -134,16 +137,28 @@ def _fresh_rows(matrices):
         prev = dense
 
 
-def _pattern_compliance(out, name, matrices, pattern):
+def _pattern_compliance(out, name, fresh, pattern):
+    """fresh: the (r, i, row) triples of _fresh_rows."""
     bad = []
-    for r, i, row in _fresh_rows(matrices):
+    for r, i, row in fresh:
         for j in compress(count(1), row):
             if (i, j) not in pattern:
                 bad.append(f"matrix {r} has a nonzero at {(i, j)} outside the pattern")
     _check(out, name, bad)
 
 
-def _below_diagonal_structure(out, name, matrices, marks):
+def _above_pivot(pivot_row_of_col, i, j):
+    """A nonzero at (i, j) may stay iff its column's pivot row is i or below."""
+    return pivot_row_of_col.get(j, 0) >= i
+
+
+def _pivot_rows(marks, before=None):
+    """Column -> row of each primary pivot (marked before diagonal `before`)."""
+    return {mk.position[1]: mk.position[0] for mk in marks if mk.kind == PRIMARY
+            and (before is None or mk.diagonal < before)}
+
+
+def _below_diagonal_structure(out, matrices, fresh, marks):
     """Strictly below diagonal r, nonzeros must be primary pivots or sit
     above one, and pivot entries must stay nonzero once their diagonal is
     strictly passed.
@@ -151,86 +166,70 @@ def _below_diagonal_structure(out, name, matrices, marks):
     Pivots only join, and a pivot that joins at r sits on diagonal r - 1,
     above every entry already below it. So a row left as it was holds no
     new violation but at its entry on diagonal r - 1, which just fell
-    below; changed rows are read in full."""
+    below; the fresh rows (_fresh_rows) are read in full."""
     bad = []
     changed = {}
-    for r, i, row in _fresh_rows(matrices):
+    for r, i, row in fresh:
         changed.setdefault(r, set()).add(i)
     for r, dense in enumerate(matrices):
-        pivots_before = {mk.position for mk in marks
-                         if mk.kind == PRIMARY and mk.diagonal < r}
-        pivot_row_of_col = {j: i for (i, j) in pivots_before}
-        fresh = changed.get(r, ())
+        pivot_row_of_col = _pivot_rows(marks, before=r)
+        rows = changed.get(r, ())
         for i, row in enumerate(dense, start=1):
-            if i in fresh:
+            if i in rows:
                 cols = compress(count(1), row)
             elif 0 < i + r - 1 <= len(row) and row[i + r - 2]:
                 cols = (i + r - 1,)
             else:
                 continue
             for j in cols:
-                if j - i >= r:
-                    continue
-                if (i, j) in pivots_before:
-                    continue
-                below = pivot_row_of_col.get(j)
-                if below is None or below <= i:
+                if j - i < r and not _above_pivot(pivot_row_of_col, i, j):
                     bad.append(f"matrix {r}: nonzero at {(i, j)} below diagonal {r} "
                                "is neither a primary pivot nor above one")
-        for (i, j) in pivots_before:
+        for j, i in pivot_row_of_col.items():
             if not dense[i - 1][j - 1]:
                 bad.append(f"matrix {r}: primary pivot at {(i, j)} became zero")
-    _check(out, name, bad)
+    _check(out, "below_diagonal_pivot_structure", bad)
 
 
-def _transition_structure(out, trace):
+def _transition_structure(out, trace, changes, allowed, unit_diagonal=True):
+    """Every transition T is upper triangular within chain groups with a
+    unit diagonal (or, unit_diagonal false, a nonzero one), and each step
+    changes only what its marks allow: allowed holds (r, (i, j)) pairs,
+    None standing for any row or column. changes[r] is T - I (_offsets),
+    or P^r - P^{r-1} for a running basis (_basis_steps)."""
+    supports = [set() for _ in changes]
+    for r, position in allowed:
+        supports[r].add(position)
     bad = []
     group_of = trace.matrix.chain_index_map
-    unit_diagonal = trace.algorithm != "z"
-    changes = _offsets(trace.transitions)
-    for r, (t, n) in enumerate(zip(trace.transitions, changes)):
-        for i in n:
-            d = t[i][i]
-            if unit_diagonal and d != 1:
-                bad.append(f"transition {r}: diagonal entry {d} at {i + 1}, expected 1")
-            if not unit_diagonal and not d:
-                bad.append(f"transition {r}: zero diagonal at {i + 1}")
+    for r, (t, n, support) in enumerate(zip(trace.transitions, changes, supports)):
         for i, entries in n.items():
             for j, _ in entries:
-                if i == j:
-                    continue
-                if i > j:
-                    bad.append(f"transition {r}: entry below the diagonal at "
-                               f"{(i + 1, j + 1)}")
+                pos = (i + 1, j + 1)
+                if i == j and (unit_diagonal or not t[i][i]):
+                    bad.append(f"transition {r}: diagonal entry {t[i][i]} at {i + 1}, "
+                               f"expected {1 if unit_diagonal else 'nonzero'}")
+                elif i > j:
+                    bad.append(f"transition {r}: entry below the diagonal at {pos}")
                 elif group_of.get(i + 1) != group_of.get(j + 1):
-                    bad.append(f"transition {r}: off-diagonal entry at "
-                               f"{(i + 1, j + 1)} crosses chain groups")
-    if trace.algorithm == "incremental":
-        cb_cols = {mk.position[1] for mk in trace.registry.marks
-                   if mk.kind == CHANGE_OF_BASIS}
-        for r, n in enumerate(changes):
-            extra = Counter(j + 1 for i, entries in n.items()
-                            for j, _ in entries if j != i)
-            for j in sorted(extra):
-                if j not in cb_cols:
-                    bad.append(f"transition {r}: column {j} changed without a "
-                               "change-of-basis mark")
-                if extra[j] > 1:
-                    bad.append(f"transition {r}: change-of-basis column {j} has "
-                               f"{extra[j] + 1} nonzeros, expected two")
+                    bad.append(f"transition {r}: off-diagonal entry at {pos} "
+                               "crosses chain groups")
+                elif not (pos in support or (i + 1, None) in support
+                          or (None, j + 1) in support):
+                    bad.append(f"transition {r}: entry at {pos} outside what the "
+                               "marks of its step allow")
     _check(out, "transition_structure", bad)
 
 
-def _similarity(out, trace, products=None):
-    """The product form of every link; for z and accumulated traces,
-    products holds Delta^0 P for each stored P (_delta0_products)."""
+def _similarity(out, trace, offsets, products=None):
+    """The product form of every link, given T - I for each stored T
+    (_offsets); for z and accumulated traces, products holds Delta^0 P for
+    each stored P (_delta0_products)."""
     bad = []
     mats = trace.matrices
-    offsets = _offsets(trace.transitions)
-    if trace.algorithm in ("z", "accumulated"):
+    if products is not None:
         for r in range(1, len(mats)):
-            n = offsets[r - 1]
-            if _left_update(n, mats[r]) != products[r - 1]:
+            if _left_update(offsets[r - 1], mats[r]) != products[r - 1]:
                 bad.append(f"P^{r - 1} Delta^{r} != Delta^0 P^{r - 1}")
     else:
         for r in range(len(mats) - 1):
@@ -248,16 +247,14 @@ def _similarity(out, trace, products=None):
 def _final_zero_pattern(out, final, marks):
     """Every nonzero of the final matrix is a primary pivot or above one."""
     bad = []
-    pivot_row_of_col = {mk.position[1]: mk.position[0] for mk in marks
-                        if mk.kind == PRIMARY}
-    for (i, j), _ in _nonzeros(final):
-        below = pivot_row_of_col.get(j)
-        if (below == i) or (below is not None and below > i):
-            continue
-        bad.append(f"final matrix: nonzero at {(i, j)} not above a primary pivot")
-    for mk in marks:
-        if mk.kind == PRIMARY and not final[mk.position[0] - 1][mk.position[1] - 1]:
-            bad.append(f"final matrix: primary pivot {mk.position} is zero")
+    pivot_row_of_col = _pivot_rows(marks)
+    for i, row in enumerate(final, start=1):
+        bad.extend(f"final matrix: nonzero at {(i, j)} not above a primary pivot"
+                   for j in compress(count(1), row)
+                   if not _above_pivot(pivot_row_of_col, i, j))
+    for j, i in pivot_row_of_col.items():
+        if not final[i - 1][j - 1]:
+            bad.append(f"final matrix: primary pivot {(i, j)} is zero")
     _check(out, "final_zero_pattern", bad)
 
 
@@ -276,7 +273,7 @@ def _kernel_minimality(out, trace, bound=8):
     bad = []
     checked = 0
     for problem in trace.kernel_problems:
-        if problem.c > 6:
+        if not ilp_box_fits(problem.c, bound):
             continue
         witness = ilp_brute_force(problem, bound)
         if witness is None:
@@ -298,16 +295,27 @@ def verify_sweep(trace):
     out = []
     _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
     pattern = allowable_pattern(trace.matrix.partition, trace.matrix.m)
-    _pattern_compliance(out, "pattern_compliance", trace.matrices, pattern)
-    products = None
-    if trace.algorithm in ("z", "accumulated"):
-        products = _delta0_products(trace)
-        _pattern_compliance(out, "pattern_compliance_product", products, pattern)
+    fresh = list(_fresh_rows(trace.matrices))
+    _pattern_compliance(out, "pattern_compliance", fresh, pattern)
+    offsets = _offsets(trace.transitions)
+    changes, products = offsets, None
+    running = trace.algorithm in ("z", "accumulated")
+    if running:
+        changes = _basis_steps(trace.transitions)
+        products = _delta0_products(trace, changes)
+        _pattern_compliance(out, "pattern_compliance_product",
+                            _fresh_rows(products), pattern)
     marks = trace.registry.marks
-    _below_diagonal_structure(out, "below_diagonal_pivot_structure",
-                              trace.matrices, marks)
-    _transition_structure(out, trace)
-    _similarity(out, trace, products)
+    _below_diagonal_structure(out, trace.matrices, fresh, marks)
+    # Mark (i, j) may change column j of P^r, but of T^r only (p, j), (i, p) a pivot.
+    primary_col_of_row = {i: j for j, i in _pivot_rows(marks).items()}
+    _transition_structure(
+        out, trace, changes,
+        [(mk.diagonal, (None if running else primary_col_of_row[mk.position[0]],
+                        mk.position[1]))
+         for mk in marks if mk.kind == CHANGE_OF_BASIS],
+        unit_diagonal=trace.algorithm != "z")
+    _similarity(out, trace, offsets, products)
     _final_zero_pattern(out, trace.final, marks)
     _final_complementarity(out, trace.final)
     if trace.algorithm == "z":
@@ -320,11 +328,11 @@ def verify_row_cancellation(trace):
     out = []
     _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
     pattern = allowable_pattern(trace.matrix.partition, trace.matrix.m)
-    _pattern_compliance(out, "pattern_compliance", trace.matrices, pattern)
+    fresh = list(_fresh_rows(trace.matrices))
+    _pattern_compliance(out, "pattern_compliance", fresh, pattern)
     marks = trace.registry.marks
-    _below_diagonal_structure(out, "below_diagonal_pivot_structure",
-                              trace.matrices, marks)
     mats = trace.matrices
+    _below_diagonal_structure(out, mats, fresh, marks)
 
     bad = []
     pivot_cols = {mk.position[1] for mk in marks}
@@ -360,23 +368,10 @@ def verify_row_cancellation(trace):
         rows_seen.add(mk.position[0])
     _check(out, "row_pivot_uniqueness", bad)
 
-    bad = []
-    for r, (t, n) in enumerate(zip(trace.transitions, _offsets(trace.transitions))):
-        diag_pivot_cols = {mk.position[1] for mk in marks if mk.diagonal == r}
-        for i, entries in n.items():
-            for j, _ in entries:
-                if i == j:
-                    if t[i][i]:
-                        bad.append(f"transition {r}: diagonal not unit at {i + 1}")
-                elif i > j:
-                    bad.append(f"transition {r}: entry below diagonal at "
-                               f"{(i + 1, j + 1)}")
-                elif i + 1 not in diag_pivot_cols:
-                    bad.append(f"transition {r}: row {i + 1} changed without a "
-                               "pivot in that column on this diagonal")
-    _check(out, "transition_structure", bad)
-
-    _similarity(out, trace)
+    offsets = _offsets(trace.transitions)
+    _transition_structure(out, trace, offsets,
+                          [(mk.diagonal, (mk.position[1], None)) for mk in marks])
+    _similarity(out, trace, offsets)
     _final_zero_pattern(out, trace.final, marks)
     _final_complementarity(out, trace.final)
     return out
@@ -384,7 +379,8 @@ def verify_row_cancellation(trace):
 
 def verify_revised(trace):
     """Checks for the revised one-block run: pivot order, frozen pivot
-    columns, monotone trailing zeros, similarity, final zero pattern."""
+    columns, monotone trailing zeros, transition structure (step t changes
+    only the row of mark t's pivot column), similarity, final zero pattern."""
     out = []
     _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
     m = trace.matrix.m
@@ -433,7 +429,10 @@ def verify_revised(trace):
     _check(out, "active_block_zeroed", zeroed)
     _check(out, "trailing_zeros_monotone", shrunk)
 
-    _similarity(out, trace)
+    offsets = _offsets(trace.transitions)
+    _transition_structure(out, trace, offsets,
+                          [(t, (mk.position[1], None)) for t, mk in enumerate(marks)])
+    _similarity(out, trace, offsets)
     _final_zero_pattern(out, trace.final, marks)
     return out
 

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -164,6 +165,24 @@ def test_oracle_ilp(tmp_path, capsys):
     assert main(["oracle", "ilp", str(path), "--bound", "10"]) == 0
     out = capsys.readouterr().out
     assert "min_leading 2" in out and "witness -3 2" in out
+
+
+def test_oracle_ilp_refuses_boxes_past_desk_scale(tmp_path, capsys):
+    """The cap is on the box's size, (2 bound + 1)^(c - 1) points: a wide
+    row at the default bound is refused at once, while a wide row at a
+    small bound and a narrow row at a large bound are still answered."""
+    wide = tmp_path / "wide.txt"
+    wide.write_text("2 4 6 8 10 12 14 3\n")
+    start = time.perf_counter()
+    assert main(["oracle", "ilp", str(wide)]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert "points to enumerate" in capsys.readouterr().err
+    assert main(["oracle", "ilp", str(wide), "--bound", "1"]) == 0
+    assert capsys.readouterr().out == "none-within-bound 1\n"
+    narrow = tmp_path / "narrow.txt"
+    narrow.write_text("-2 -3\n")
+    assert main(["oracle", "ilp", str(narrow), "--bound", "50"]) == 0
+    assert "min_leading 2" in capsys.readouterr().out
 
 
 def test_gen_random_round_trips(tmp_path):

@@ -100,6 +100,15 @@ def test_oversized_b_rejected_before_allocating():
     assert parse_cmx(serialize_cmx(surface)) == surface
 
 
+def test_oversized_m_and_b_rejected_before_allocating():
+    """b up to m is legal, so nothing sized by b is built before the m
+    index lines are read; a short text cannot claim a huge partition."""
+    start = time.perf_counter()
+    with pytest.raises(CmxError, match="unexpected end of input"):
+        parse_cmx("CMX 1\nm 3000000\nb 3000000\nindex 1 0\n")
+    assert time.perf_counter() - start < 0.5
+
+
 def test_parse_accepts_stream():
     import io
     assert parse_cmx(io.StringIO(SPHERE_TEXT)) == FIX_SPHERE

@@ -4,6 +4,7 @@ bless good ones; doctor finished traces and watch the right check fail."""
 import dataclasses
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,14 @@ def doctor_final(trace, i, j, value):
     last[i - 1][j - 1] = value
     mats[-1] = freeze(last)
     return dataclasses.replace(trace, matrices=tuple(mats))
+
+
+def doctor_transition(trace, r, i, j, value):
+    seq = list(trace.transitions)
+    changed = thaw(seq[r])
+    changed[i - 1][j - 1] = value
+    seq[r] = freeze(changed)
+    return dataclasses.replace(trace, transitions=tuple(seq))
 
 
 def test_all_green_on_good_traces():
@@ -115,3 +124,23 @@ def test_similarity_verdict_matches_dense_product(case):
 def test_any_changed_matrix_entry_fails_a_check(case):
     trace, _ = case
     assert failing(verify_trace(trace))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_traces(stored=("transitions",)))
+def test_any_changed_transition_entry_fails_a_check(case):
+    trace, _ = case
+    assert failing(verify_trace(trace))
+
+
+@pytest.mark.parametrize("runner, position, value", [
+    (sweep_over_z, (4, 4), 2),         # a basis rescaled with no mark
+    (row_cancellation, (4, 4), 0),     # a singular transition
+    (revised_one_block, (1, 3), 1),    # a row no pivot column indexes
+], ids=["z", "rowcancel", "revised1"])
+def test_transition_off_its_marks_fails_only_transition_structure(
+        runner, position, value):
+    """Each change keeps every matrix check and the similarity product
+    form intact; only the transition rule sees it."""
+    bad = doctor_transition(runner(FIX_SPHERE), 0, *position, value)
+    assert failing(verify_trace(bad)) == {"transition_structure"}
