@@ -19,7 +19,7 @@ from functools import cached_property
 from .core import (PRIMARY, ConnectionMatrix, Mark, MarkRegistry,
                    PreconditionError, SweepTrace, frozen_transitions,
                    require_valid)
-from .linalg import conjugate, exact_div, freeze, norm
+from .linalg import cancel_ops, conjugate, freeze
 from .sweep_f import sweep_incremental
 
 
@@ -130,10 +130,8 @@ def revised_one_block(matrix):
         below = i_t
         row = dense[i_t - 1]
         j_t = min(j for j in active if row[j - 1])
-        piv = row[j_t - 1]
-        marks.append(Mark((i_t, j_t), PRIMARY, j_t - i_t, piv))
-        ops = [(j_t, j, norm(-exact_div(row[j - 1], piv)))
-               for j in active if j > j_t and row[j - 1]]
+        marks.append(Mark((i_t, j_t), PRIMARY, j_t - i_t, row[j_t - 1]))
+        ops = cancel_ops(row, j_t, [j for j in active if j > j_t and row[j - 1]])
         op_lists.append(ops)
         matrices.append(freeze(conjugate(dense, ops)) if ops else matrices[-1])
         active.remove(j_t)

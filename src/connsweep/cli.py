@@ -25,9 +25,9 @@ from .row_cancel import (cancellation_schedule, reduce_complex,
                          row_cancellation, smale_cancellation_sweep)
 from .sweep_f import sweep_accumulated, sweep_incremental
 from .sweep_z import KernelProblem, sweep_over_z
-from .tu import (SurfaceRejection, generate_surface_matrix,
-                 is_surface_connection_matrix, is_totally_unimodular,
-                 sample_non_tu_witness)
+from .tu import (DEFAULT_SIZE_GUARD, SurfaceRejection,
+                 generate_surface_matrix, is_surface_connection_matrix,
+                 is_totally_unimodular, sample_non_tu_witness)
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -309,7 +309,7 @@ def build_parser():
     tu_sub = p_tu.add_subparsers(dest="subcommand", required=True)
     p = tu_sub.add_parser("check", help="exhaustive check (sampled when large)")
     p.add_argument("input")
-    p.add_argument("--guard", type=int, default=16,
+    p.add_argument("--guard", type=int, default=DEFAULT_SIZE_GUARD,
                    help="largest order checked exhaustively")
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)

@@ -264,13 +264,13 @@ class SweepTrace:
         return self.matrices[-1]
 
 
-def scan_diagonal(dense, m, r, primary_cols, primary_rows, use_row_rule=True):
+def scan_diagonal(dense, m, r, primary_cols, primary_of_row):
     """Markup rule for diagonal r, swept left to right.
 
     A nonzero entry at (j-r, j) is skipped when its column already holds a
     primary pivot; otherwise it becomes a change-of-basis pivot when its row
-    holds a primary pivot (only if use_row_rule), and a primary pivot else.
-    Returns (i, j, kind) triples in increasing j.
+    holds a primary pivot, and a primary pivot else. Returns (i, j, kind)
+    triples in increasing j.
     """
     found = []
     for j in range(r + 1, m + 1):
@@ -279,43 +279,42 @@ def scan_diagonal(dense, m, r, primary_cols, primary_rows, use_row_rule=True):
             continue
         if j in primary_cols:
             continue
-        if use_row_rule and i in primary_rows:
+        if i in primary_of_row:
             found.append((i, j, CHANGE_OF_BASIS))
         else:
             found.append((i, j, PRIMARY))
     return found
 
 
-def sweep_diagonals(matrix, change_of_basis, use_row_rule=True):
+def sweep_diagonals(matrix, change_of_basis):
     """The diagonal sweep shared by the rational and integer sweeps and row
-    cancellation; they differ only in the markup rule and change_of_basis.
+    cancellation; they differ only in change_of_basis.
 
     On each diagonal r = 1..m-1 the working matrix is marked by
-    scan_diagonal; change_of_basis(dense, found, primaries) then returns the
-    diagonal's ops, given the (i, j, kind) triples just found and every
-    primary pivot so far, and linalg.conjugate applies them. Returns the m+1
-    frozen matrices (the input, repeated for diagonal 0, then the matrix
-    after each diagonal), the m op lists (none on diagonal 0) and the
-    MarkRegistry. The matrix must be valid; callers check that first.
+    scan_diagonal; change_of_basis(dense, found, primary_of_row) then
+    returns the diagonal's ops, given the (i, j, kind) triples just found
+    and the row -> column map of every primary pivot so far, and
+    linalg.conjugate applies them. Row cancellation's rule clears a pivot's
+    row when it is marked, so it never meets a change-of-basis pivot.
+    Returns the m+1 frozen matrices (the input, repeated for diagonal 0,
+    then the matrix after each diagonal), the m op lists (none on diagonal
+    0) and the MarkRegistry. The matrix must be valid; callers check that.
     """
     m = matrix.m
     dense = matrix.to_dense()
     matrices = [freeze(dense)] * 2
     op_lists = [[]]
     marks = []
-    primaries = []
+    primary_of_row = {}
     primary_cols = set()
-    primary_rows = set()
     for r in range(1, m):
-        found = scan_diagonal(dense, m, r, primary_cols, primary_rows,
-                              use_row_rule)
+        found = scan_diagonal(dense, m, r, primary_cols, primary_of_row)
         for i, j, kind in found:
             marks.append(Mark((i, j), kind, r, dense[i - 1][j - 1]))
             if kind == PRIMARY:
-                primaries.append((i, j))
+                primary_of_row[i] = j
                 primary_cols.add(j)
-                primary_rows.add(i)
-        ops = change_of_basis(dense, found, primaries)
+        ops = change_of_basis(dense, found, primary_of_row)
         op_lists.append(ops)
         matrices.append(freeze(conjugate(dense, ops)) if ops else matrices[-1])
     return matrices, op_lists, MarkRegistry(tuple(marks))

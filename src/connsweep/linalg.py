@@ -113,6 +113,13 @@ def ops_product(m, ops):
     return t
 
 
+def cancel_ops(row, p, cols):
+    """One op (p, col, -row[col]/row[p]) per column in cols, 1-based: the
+    column operations clearing those entries of row by column p, shared by
+    the rational sweep, row cancellation and the revised one-block run."""
+    return [(p, col, norm(-exact_div(row[col - 1], row[p - 1]))) for col in cols]
+
+
 def prefix_ranks(rows, n_cols):
     """Exact ranks of the column prefixes: entry c is the rank of the first
     c columns of rows, for c = 0..n_cols. One Gaussian elimination, column

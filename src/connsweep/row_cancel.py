@@ -3,13 +3,14 @@
 The diagonal sweep and the primary-pivot criterion are the same as in the
 incremental sweeping, but there are no change-of-basis pivots: as soon as a
 primary pivot is marked, every entry to its right is zeroed by column
-operations from the pivot column. These are elementary ops like the
-incremental sweep's, from rc_transition_ops, applied by the same diagonal
-loop (core.sweep_diagonals) and conjugation kernel, whose row operations
-only ever touch rows that end up zero. The run is recorded as a SweepTrace
-labelled "rowcancel", shaped like every other diagonal sweep's: m+1
-matrices and m transitions. The last diagonal holds only (1, m), with
-nothing right of it, so its transition is the identity.
+operations from the pivot column (linalg.cancel_ops, as in the incremental
+sweep), so no later entry of its row is nonzero. rc_transition_ops lists
+them; the same diagonal loop (core.sweep_diagonals) and conjugation kernel
+apply them, and the kernel's row operations only ever touch rows that end
+up zero. The run is recorded as a SweepTrace labelled "rowcancel", shaped
+like every other diagonal sweep's: m+1 matrices and m transitions. The last
+diagonal holds only (1, m), with nothing right of it, so its transition is
+the identity.
 
 Also here: the per-step reduced matrices obtained by deleting each
 cancelled row/column pair, and the cancellation schedule read off a trace.
@@ -18,11 +19,14 @@ cancelled row/column pair, and the cancellation schedule read off a trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
+from .block_seq import block_runs
 from .core import (PRIMARY, AlgorithmError, ConnectionMatrix,
                    PreconditionError, SweepTrace, frozen_transitions,
                    require_valid, sweep_diagonals)
-from .linalg import exact_div, norm
+from .linalg import cancel_ops
+from .tu import SurfaceRejection, is_surface_connection_matrix
 
 
 def rc_transition_ops(delta_r, pivots):
@@ -38,12 +42,9 @@ def rc_transition_ops(delta_r, pivots):
     ops = []
     for (i, j) in sorted(pivots, key=lambda pos: pos[1]):
         row = delta_r[i - 1]
-        piv = row[j - 1]
-        if not piv:
+        if not row[j - 1]:
             raise AlgorithmError(f"zero entry at pivot position ({i}, {j})")
-        for col in range(j + 1, len(row) + 1):
-            if row[col - 1]:
-                ops.append((j, col, norm(-exact_div(row[col - 1], piv))))
+        ops += cancel_ops(row, j, compress(count(j + 1), row[j:]))
     return ops
 
 
@@ -51,9 +52,8 @@ def row_cancellation(matrix):
     """Row Cancellation run; returns the trace of matrices and transitions."""
     require_valid(matrix)
     matrices, op_lists, registry = sweep_diagonals(
-        matrix, lambda dense, found, primaries: rc_transition_ops(
-            dense, [(i, j) for i, j, _ in found]),
-        use_row_rule=False)
+        matrix, lambda dense, found, _: rc_transition_ops(
+            dense, [(i, j) for i, j, _ in found]))
     return SweepTrace("rowcancel", matrix, tuple(matrices),
                       frozen_transitions(matrix.m, op_lists), registry)
 
@@ -135,8 +135,6 @@ def smale_cancellation_sweep(matrix):
     Partitions with fewer than three subsets are padded with empty groups
     first (a one-block matrix is a surface candidate with no sources).
     """
-    from .tu import SurfaceRejection, is_surface_connection_matrix
-
     if len(matrix.partition) < 3:
         padded = list(matrix.partition) + [set()] * (3 - len(matrix.partition))
         matrix = ConnectionMatrix(matrix.m, padded, matrix.entries)
@@ -150,6 +148,4 @@ def smale_cancellation_sweep(matrix):
 
 def block_sequential_row_cancellation(matrix):
     """Blockwise row cancellation; see block_seq for the shared scheme."""
-    from .block_seq import block_runs
-
     return block_runs(matrix, row_cancellation)

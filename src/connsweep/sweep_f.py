@@ -14,26 +14,25 @@ from __future__ import annotations
 
 from .core import (PRIMARY, AlgorithmError, SweepTrace, accumulated_basis,
                    frozen_transitions, require_valid, sweep_diagonals)
-from .linalg import exact_div, freeze, norm
+from .linalg import cancel_ops, freeze
 
 
-def transition_ops(delta_r, cb_positions, primary_positions):
+def transition_ops(delta_r, cb_positions, primary_of_row):
     """Per-diagonal change of basis as ops: one (primary column, pivot
     column, -delta[i][j]/delta[i][p]) op for each change-of-basis pivot.
 
     Each change-of-basis pivot at (i, j) must have a primary pivot (i, p) in
-    its row. No column is both a primary and a change-of-basis column, so
-    the ops commute and their product is the identity plus one entry each.
+    its row, p = primary_of_row[i]. No column is both a primary and a
+    change-of-basis column, so the ops commute and their product is the
+    identity plus one entry each.
     """
-    primary_in_row = dict(primary_positions)
     ops = []
     for (i, j) in cb_positions:
-        p = primary_in_row.get(i)
+        p = primary_of_row.get(i)
         if p is None or p == j:
             raise AlgorithmError(
                 f"change-of-basis pivot at ({i}, {j}) has no primary pivot in its row")
-        ops.append((p, j, norm(-exact_div(delta_r[i - 1][j - 1],
-                                          delta_r[i - 1][p - 1]))))
+        ops += cancel_ops(delta_r[i - 1], p, [j])
     return ops
 
 
@@ -41,9 +40,9 @@ def sweep_incremental(matrix):
     """Incremental sweeping; returns the trace of matrices and transitions."""
     require_valid(matrix)
     matrices, op_lists, registry = sweep_diagonals(
-        matrix, lambda dense, found, primaries: transition_ops(
+        matrix, lambda dense, found, primary_of_row: transition_ops(
             dense, [(i, j) for i, j, kind in found if kind != PRIMARY],
-            primaries))
+            primary_of_row))
     return SweepTrace("incremental", matrix, tuple(matrices),
                       frozen_transitions(matrix.m, op_lists), registry)
 

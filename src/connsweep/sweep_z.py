@@ -93,7 +93,7 @@ def sweep_over_z(matrix):
     bases = [freeze(basis)]
     problems = []
 
-    def integer_min_ops(dense, found, primaries):
+    def integer_min_ops(dense, found, primary_of_row):
         solved = []
         for i, j, kind in found:
             if kind == PRIMARY:

@@ -4,7 +4,7 @@ The exhaustive TU test checks every square submatrix determinant exactly.
 For a connection matrix every cross-block square submatrix is, up to a
 permutation, block diagonal with one factor per chain block, so its
 determinant is a product of block minors (or zero); the scan therefore runs
-block by block, with memoized first-row expansion inside each block.
+block by block, taking each minor with linalg.bareiss_det.
 """
 
 from __future__ import annotations
@@ -24,36 +24,12 @@ class SizeGuardError(PreconditionError):
 
 
 def _dense_is_tu(rows):
-    """Exhaustive TU check of an integer matrix via memoized minors."""
-    for row in rows:
-        for v in row:
-            if v not in (-1, 0, 1):
-                return False
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    """Exhaustive TU check of a matrix with entries in {0, 1, -1}: every
+    square submatrix of size 2 and up with no zero row, each determinant
+    taken by linalg.bareiss_det."""
     row_support = [frozenset(j for j, v in enumerate(row) if v) for row in rows]
-    nonzero_rows = [i for i in range(n_rows) if row_support[i]]
+    nonzero_rows = [i for i in range(len(rows)) if row_support[i]]
     nonzero_cols = sorted({j for s in row_support for j in s})
-    memo = {}
-
-    def det(rs, cs):
-        if len(rs) == 1:
-            return rows[rs[0]][cs[0]]
-        key = (rs, cs)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = 0
-        r0 = rs[0]
-        rest = rs[1:]
-        for pos, c in enumerate(cs):
-            v = rows[r0][c]
-            if v:
-                sub = det(rest, cs[:pos] + cs[pos + 1:])
-                if sub:
-                    total += v * sub if pos % 2 == 0 else -v * sub
-        memo[key] = total
-        return total
-
     top = min(len(nonzero_rows), len(nonzero_cols))
     for k in range(2, top + 1):
         for rs in combinations(nonzero_rows, k):
@@ -63,7 +39,8 @@ def _dense_is_tu(rows):
             for cs in combinations(cols_avail, k):
                 if any(not (row_support[i] & set(cs)) for i in rs):
                     continue
-                if det(rs, cs) not in (-1, 0, 1):
+                minor = [[rows[i][j] for j in cs] for i in rs]
+                if bareiss_det(minor) not in (-1, 0, 1):
                     return False
     return True
 
@@ -305,13 +282,12 @@ def generate_surface_matrix(seed, sizes, density=1.0, flips=0):
             rows_free.remove(sa)
             rows_free.remove(sb)
 
-    if m:
-        for _ in range(flips):
-            axis = rng.choice(("row", "col"))
-            idx = rng.randrange(1, m + 1)
-            for (i, j) in list(entries):
-                if (axis == "row" and i == idx) or (axis == "col" and j == idx):
-                    entries[(i, j)] = -entries[(i, j)]
+    for _ in range(flips):
+        axis = rng.choice(("row", "col"))
+        idx = rng.randrange(1, m + 1)
+        for (i, j) in list(entries):
+            if (axis == "row" and i == idx) or (axis == "col" and j == idx):
+                entries[(i, j)] = -entries[(i, j)]
 
     return ConnectionMatrix(m, partition, entries)
 

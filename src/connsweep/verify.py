@@ -30,7 +30,7 @@ from operator import eq, ne
 from .core import CHANGE_OF_BASIS, PRIMARY, allowable_pattern, validate
 from .linalg import freeze, identity
 from .oracles import ilp_box_fits, ilp_brute_force
-from .sweep_z import solve_min_leading
+from .sweep_z import KernelProblem
 
 
 def _row_changes(t, base):
@@ -267,20 +267,31 @@ def _final_complementarity(out, final):
 
 
 def _kernel_minimality(out, trace, bound=8):
-    """Box enumeration bounds the true minimum from above (a witness of the
-    optimum may stick out of the box), so equality is only demanded when the
-    solver's own witness fits inside it."""
+    """Each change-of-basis mark (i, j) of a z trace stores its combination
+    as column j of its diagonal's running basis, over j's chain group up to
+    j; its kernel problem is rebuilt from the input on those columns and the
+    rows of the group below from i down. Box enumeration bounds the true
+    minimum from above (an optimal witness may stick out of the box), so
+    equality is only demanded when the stored combination fits inside it."""
     bad = []
     checked = 0
-    for problem in trace.kernel_problems:
-        if not ilp_box_fits(problem.c, bound):
+    matrix = trace.matrix
+    for mk in trace.registry.marks:
+        if mk.kind != CHANGE_OF_BASIS:
             continue
-        witness = ilp_brute_force(problem, bound)
+        i, j = mk.position
+        k = matrix.chain_index(j)
+        cols = sorted(col for col in matrix.partition[k] if col <= j)
+        if not ilp_box_fits(len(cols), bound):
+            continue
+        a = [[matrix.entry(row, col) for col in cols]
+             for row in sorted(matrix.partition[k - 1]) if row >= i]
+        witness = ilp_brute_force(KernelProblem(a, len(cols)), bound)
         if witness is None:
             continue
-        got = solve_min_leading(problem)
+        got = [trace.transitions[mk.diagonal][col - 1][j - 1] for col in cols]
         checked += 1
-        if got[-1] > witness.min_leading or witness.min_leading % got[-1]:
+        if not 0 < got[-1] <= witness.min_leading or witness.min_leading % got[-1]:
             bad.append(f"kernel problem: leading {got[-1]} inconsistent with "
                        f"box minimum {witness.min_leading}")
         elif max(abs(v) for v in got) <= bound and got[-1] != witness.min_leading:

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from connsweep import (PRIMARY, RandomSpec, accumulated_basis,
-                       allowable_pattern, betti_over_q,
+from connsweep import (CHANGE_OF_BASIS, PRIMARY, RandomSpec,
+                       accumulated_basis, allowable_pattern, betti_over_q,
                        block_sequential_row_cancellation,
                        block_sequential_sweep, generate_surface_matrix,
                        ilp_brute_force, is_totally_unimodular,
@@ -265,13 +265,18 @@ def test_ac8_ilp_optimality():
             sizes=sizes))
         trace = sweep_over_z(cm)
         sweeps += 1
-        for problem in trace.kernel_problems:
+        # each problem belongs to one change-of-basis mark (i, j), in order;
+        # the stored leading coefficient is entry (j, j) of its running basis
+        cb_marks = [mk for mk in trace.registry.marks
+                    if mk.kind == CHANGE_OF_BASIS]
+        assert len(cb_marks) == len(trace.kernel_problems)
+        for problem, mk in zip(trace.kernel_problems, cb_marks):
             witness = ilp_brute_force(problem, ILP_BOUND)
             if witness is None:
                 continue
             instances += 1
-            from connsweep import solve_min_leading
-            if solve_min_leading(problem)[-1] != witness.min_leading:
+            j = mk.position[1]
+            if trace.transitions[mk.diagonal][j - 1][j - 1] != witness.min_leading:
                 failures.append(f"sweep#{seed}: {problem.a}")
     assert instances > 50, "corpus produced too few change-of-basis instances"
     assert not failures, failures[:5]

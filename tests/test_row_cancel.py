@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from connsweep import (PRIMARY, AlgorithmError, ConnectionMatrix,
-                       PreconditionError, block_sequential_row_cancellation,
-                       cancellation_schedule, parse_cmx, rc_transition_ops,
-                       reduce_complex, row_cancellation,
+from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
+                       ConnectionMatrix, PreconditionError, RandomSpec,
+                       allowable_pattern, block_sequential_row_cancellation,
+                       cancellation_schedule, parse_cmx, random_connection_matrix,
+                       rc_transition_ops, reduce_complex, row_cancellation,
                        smale_cancellation_sweep, sweep_incremental,
                        betti_over_q)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
@@ -162,6 +165,38 @@ def test_per_diagonal_pivots_match_incremental(small_corpus):
         inc = {(mk.position, mk.diagonal, mk.value)
                for mk in ti.registry.marks if mk.kind == PRIMARY}
         assert rc == inc
+
+
+@st.composite
+def pattern_valid_matrices(draw):
+    """A random boundary matrix, or random nonzeros on the allowable
+    pattern of a random partition into 3 to 5 chain groups (b 2 to 4),
+    which is no boundary operator in general."""
+    m = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        return random_connection_matrix(RandomSpec(
+            seed=draw(st.integers(0, 10**6)), m=m,
+            b=draw(st.integers(1, min(3, m))),
+            style=draw(st.sampled_from(("grouped", "scattered"))),
+            density=draw(st.floats(0.2, 0.9)), values=tuple(range(-3, 4))))
+    b = draw(st.integers(2, 4))
+    groups = [draw(st.integers(0, b)) for _ in range(m)]
+    partition = [{i for i, k in enumerate(groups, start=1) if k == g}
+                 for g in range(b + 1)]
+    values = st.sampled_from((-3, -2, -1, 1, 2, 3, Fraction(1, 2)))
+    entries = {pos: draw(values)
+               for pos in sorted(allowable_pattern(partition, m))
+               if draw(st.booleans())}
+    return ConnectionMatrix(m, partition, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_valid_matrices())
+def test_row_cancellation_marks_no_change_of_basis_pivot(matrix):
+    """A pivot's row is cleared as soon as it is marked, so the sweep loop's
+    change-of-basis markup never fires on a row-cancellation run."""
+    kinds = {mk.kind for mk in row_cancellation(matrix).registry.marks}
+    assert CHANGE_OF_BASIS not in kinds
 
 
 def test_block_sequential_row_cancellation():

@@ -65,14 +65,14 @@ def test_accumulated_zero_keeps_identity():
 
 def test_transition_matrix_empty_is_identity():
     delta = freeze(identity(3))
-    assert transition_ops(delta, [], []) == []
+    assert transition_ops(delta, [], {}) == []
     assert is_identity(ops_product(3, []))
 
 
 def test_transition_matrix_cb_example():
     trace = sweep_incremental(FIX_CB)
     delta2 = trace.matrices[2]
-    ops = transition_ops(delta2, [(2, 4)], [(2, 3)])
+    ops = transition_ops(delta2, [(2, 4)], {2: 3})
     assert ops == [(3, 4, Fraction(-3, 2))]
     expected = identity(4)
     expected[2][3] = Fraction(-3, 2)
@@ -82,7 +82,7 @@ def test_transition_matrix_cb_example():
 def test_transition_matrix_missing_primary_is_bug_signal():
     trace = sweep_incremental(FIX_CB)
     with pytest.raises(AlgorithmError):
-        transition_ops(trace.matrices[2], [(2, 4)], [])
+        transition_ops(trace.matrices[2], [(2, 4)], {})
 
 
 def test_transition_factorization_order_irrelevant():
@@ -95,7 +95,7 @@ def test_transition_factorization_order_irrelevant():
         delta[0][3] = rng.randint(1, 3)   # cb      (1,4)
         delta[1][4] = rng.randint(1, 3)   # primary (2,5)
         delta[1][5] = rng.randint(1, 3)   # cb      (2,6)
-        ops = transition_ops(freeze(delta), [(1, 4), (2, 6)], [(1, 3), (2, 5)])
+        ops = transition_ops(freeze(delta), [(1, 4), (2, 6)], {1: 3, 2: 5})
         t = ops_product(m, ops)
         assert ops_product(m, ops[::-1]) == t
         f1 = identity(m)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from connsweep import (RandomSpec, block_sequential_sweep,
                        random_connection_matrix, revised_one_block,
                        row_cancellation, sweep_accumulated, sweep_incremental,
-                       sweep_over_z)
+                       sweep_over_z, sweep_z)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE
 from connsweep.linalg import thaw, freeze
 from connsweep.verify import (verify_row_cancellation, verify_sweep,
@@ -73,6 +73,17 @@ def test_dead_pivot_detected():
     bad = doctor_final(trace, 2, 3, 0)
     names = failing(verify_row_cancellation(bad))
     assert "below_diagonal_pivot_structure" in names
+
+
+def test_stored_non_minimal_leading_fails_kernel_check(monkeypatch):
+    """A solver that returns twice the minimal vector still yields a kernel
+    vector, so only the check reading the stored combination sees it."""
+    solve = sweep_z.solve_min_leading
+    monkeypatch.setattr(sweep_z, "solve_min_leading",
+                        lambda problem: tuple(2 * v for v in solve(problem)))
+    trace = sweep_over_z(FIX_CB)
+    monkeypatch.undo()
+    assert failing(verify_trace(trace)) == {"kernel_leading_minimality"}
 
 
 @st.composite
