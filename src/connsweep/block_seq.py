@@ -19,7 +19,7 @@ from functools import cached_property
 from .core import (PRIMARY, ConnectionMatrix, Mark, MarkRegistry,
                    PreconditionError, SweepTrace, frozen_transitions,
                    require_valid)
-from .linalg import cancel_ops, conjugate, freeze
+from .linalg import cancel_ops, conjugate, freeze, refreeze
 from .sweep_f import sweep_incremental
 
 
@@ -133,7 +133,7 @@ def revised_one_block(matrix):
         marks.append(Mark((i_t, j_t), PRIMARY, j_t - i_t, row[j_t - 1]))
         ops = cancel_ops(row, j_t, [j for j in active if j > j_t and row[j - 1]])
         op_lists.append(ops)
-        matrices.append(freeze(conjugate(dense, ops)) if ops else matrices[-1])
+        matrices.append(refreeze(matrices[-1], conjugate(dense, ops)))
         active.remove(j_t)
     return SweepTrace("revised1", matrix, tuple(matrices),
                       frozen_transitions(m, op_lists), MarkRegistry(tuple(marks)))

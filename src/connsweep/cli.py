@@ -12,7 +12,8 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
+from operator import is_not
 
 from . import verify as verify_mod
 from .block_seq import block_sequential_sweep, revised_one_block
@@ -51,13 +52,21 @@ def _read_matrix(path):
         return parse_cmx(handle.read())
 
 
-def _entry_lines(dense):
-    out = []
-    for i, row in enumerate(dense, start=1):
-        if any(row):
-            out.extend(f"entry {i} {j} {row[j - 1]}"
-                       for j in compress(count(1), row))
-    return out
+def _entry_lines(seq, m):
+    """The 'entry' lines of each m x m matrix of seq, formatted once per
+    distinct row object (the memo holds the rows it keys by id)."""
+    memo, prev, per_row = {}, (None,) * m, [()] * m
+    for dense in seq:
+        if dense is not prev:
+            for i in compress(count(), map(is_not, dense, prev)):
+                row = dense[i]
+                key = (i, id(row))
+                if key not in memo:
+                    memo[key] = (row, [f"entry {i + 1} {j} {row[j - 1]}"
+                                       for j in compress(count(1), row)])
+                per_row[i] = memo[key][1]
+            prev, lines = dense, list(chain.from_iterable(per_row))
+        yield lines
 
 
 def _records(trace):
@@ -80,15 +89,18 @@ def _trace_records(trace, full):
                          " ".join(str(c) for c in sorted(run.pivot_columns)))
             lines.extend(_trace_records(run.trace, full))
         return lines
-    for label, marks, t, matrix_idx in _records(trace):
+    records = list(_records(trace))
+    t_lines = _entry_lines((t for _, _, t, _ in records), trace.matrix.m)
+    m_lines = _entry_lines((trace.matrices[i] for _, _, _, i in records), trace.matrix.m)
+    for label, marks, _, _ in records:
         lines.append(label)
         for mk in marks:
             lines.append(f"mark {mk.kind} {mk.position[0]} {mk.position[1]} {mk.value}")
         lines.append("transition")
-        lines.extend(_entry_lines(t))
+        lines.extend(next(t_lines))
         if full:
             lines.append("matrix")
-            lines.extend(_entry_lines(trace.matrices[matrix_idx]))
+            lines.extend(next(m_lines))
     return lines
 
 
@@ -117,8 +129,8 @@ def _cmd_run(args):
 
     if args.trace in ("final", "full"):
         final = matrix.with_entries(
-            {(i, j): v for i, row in enumerate(result.final, start=1)
-             for j, v in enumerate(row, start=1) if v})
+            {(i, j): row[j - 1] for i, row in enumerate(result.final, start=1)
+             for j in compress(count(1), row)})
         with open(os.path.join(outdir, "final.cmx"), "w", encoding="utf-8") as fh:
             fh.write(serialize_cmx(final))
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import (CmxError, ConnectionMatrix, allowable_pattern,
-                   max_chain_index, require_valid)
+from .core import CmxError, ConnectionMatrix, max_chain_index, require_valid
 
 _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[+-]?\d+\Z")
@@ -110,7 +109,6 @@ def parse_cmx(source):
     for col, k in chain_of.items():
         partition[k].add(col)
 
-    pattern = allowable_pattern(partition, m)
     entries = {}
     for lineno, tokens in lines:
         if tokens[0][0] != "entry" or len(tokens) != 4:
@@ -127,7 +125,7 @@ def parse_cmx(source):
                            lineno, tokens[1][1])
         if (i, j) in entries:
             raise CmxError(f"duplicate entry ({i}, {j})", lineno, tokens[1][1])
-        if v and (i, j) not in pattern:
+        if v and chain_of[j] != chain_of[i] + 1:
             raise CmxError(
                 f"entry ({i}, {j}) outside the allowable sparsity pattern",
                 lineno, tokens[1][1])

@@ -13,7 +13,8 @@ from functools import cached_property
 from itertools import compress, count
 from operator import ne
 
-from .linalg import as_exact, conjugate, freeze, identity, norm, ops_product, thaw
+from .linalg import (as_exact, conjugate, freeze, frozen_product, identity, norm,
+                     refreeze)
 
 Position = tuple[int, int]
 
@@ -146,6 +147,17 @@ def allowable_pattern(partition, m):
     return frozenset(positions)
 
 
+def pattern_test(partition, m):
+    """(i, j) -> whether (i, j) is in allowable_pattern(partition, m), in
+    memory linear in m: an index listed in several groups has them all."""
+    groups = {}
+    for k, part in enumerate(_freeze_partition(partition)):
+        for idx in part:
+            groups[idx] = groups.get(idx, ()) + (k,)
+    return lambda i, j: 1 <= i < j <= m and any(
+        k + 1 in groups.get(j, ()) for k in groups.get(i, ()))
+
+
 def max_chain_index(m):
     """Largest b (chain groups J_0..J_b) accepted for m generators. Groups
     may be empty, but more than m + 1 of them carry nothing; three always
@@ -172,7 +184,7 @@ def validate(matrix):
     if missing:
         out.append(Violation("partition", None,
                              f"indices not covered: {sorted(missing)}"))
-    pattern = allowable_pattern(matrix.partition, matrix.m)
+    allowed = pattern_test(matrix.partition, matrix.m)
     for (i, j), v in sorted(matrix.entries.items()):
         if not (1 <= i <= matrix.m and 1 <= j <= matrix.m):
             out.append(Violation("index", (i, j), "entry index outside 1..m"))
@@ -181,7 +193,7 @@ def validate(matrix):
             out.append(Violation("triangularity", (i, j),
                                  "entry on or below the diagonal"))
             continue
-        if (i, j) not in pattern:
+        if not allowed(i, j):
             ki = matrix.chain_index(i)
             kj = matrix.chain_index(j)
             out.append(Violation("pattern", (i, j),
@@ -245,7 +257,9 @@ class SweepTrace:
     matrices and m transitions of sweep_diagonals; the revised one-block run
     keeps one of each per step. For the accumulated variants the
     transitions are the running change-of-basis matrices; for the others
-    they are the per-diagonal (or per-step) ones.
+    they are the per-diagonal (or per-step) ones. Each is a tuple of row
+    tuples sharing the rows its step left alone with the one before (a
+    per-step T with one identity): a trace retains the rows that changed.
     """
 
     algorithm: str
@@ -253,7 +267,6 @@ class SweepTrace:
     matrices: tuple
     transitions: tuple
     registry: MarkRegistry
-    kernel_problems: tuple = ()
 
     def __post_init__(self):
         if len(self.matrices) != len(self.transitions) + 1:
@@ -298,7 +311,8 @@ def sweep_diagonals(matrix, change_of_basis):
     row when it is marked, so it never meets a change-of-basis pivot.
     Returns the m+1 frozen matrices (the input, repeated for diagonal 0,
     then the matrix after each diagonal), the m op lists (none on diagonal
-    0) and the MarkRegistry. The matrix must be valid; callers check that.
+    0) and the MarkRegistry, each matrix sharing the rows its ops left
+    alone. The matrix must be valid; callers check that.
     """
     m = matrix.m
     dense = matrix.to_dense()
@@ -316,16 +330,14 @@ def sweep_diagonals(matrix, change_of_basis):
                 primary_cols.add(j)
         ops = change_of_basis(dense, found, primary_of_row)
         op_lists.append(ops)
-        matrices.append(freeze(conjugate(dense, ops)) if ops else matrices[-1])
+        matrices.append(refreeze(matrices[-1], conjugate(dense, ops)))
     return matrices, op_lists, MarkRegistry(tuple(marks))
 
 
 def frozen_transitions(m, op_lists):
-    """The frozen product of each op list; lists without ops share one
-    frozen identity."""
-    unchanged = freeze(identity(m))
-    return tuple(freeze(ops_product(m, ops)) if ops else unchanged
-                 for ops in op_lists)
+    """The frozen product of each op list, all on one frozen identity."""
+    units = freeze(identity(m))
+    return tuple(frozen_product(units, ops) for ops in op_lists)
 
 
 def marks_on_diagonal(trace, r):
@@ -344,27 +356,22 @@ def accumulated_basis(trace):
     traces store these directly, incremental ones multiply out lazily:
     P^r = P^{r-1} T^r recomputes only the columns j where T^r differs from
     the identity, as the sum of P^{r-1}[:, k] T^r[k][j] over T^r's nonzeros
-    in column j.
+    in column j; a row of P^{r-1} that is zero wherever T^r's row k is not
+    the identity's is shared as it is. Every P^r is frozen.
     """
     if trace.algorithm in ("z", "accumulated"):
-        return [thaw(t) for t in trace.transitions]
+        return list(trace.transitions)
     units = freeze(identity(trace.matrix.m))
-    out = []
-    acc = None
-    for t in trace.transitions:
-        if acc is None:
-            acc = thaw(t)
-        else:
-            changed = list(compress(count(), map(ne, t, units)))
-            cols = {j for k in changed
-                    for j in compress(count(), map(ne, t[k], units[k]))}
-            if cols:
-                new = [row[:] for row in acc]
-                for j in cols:
-                    terms = [(k, t[k][j]) for k in {j, *changed} if t[k][j]]
-                    for row, new_row in zip(acc, new):
-                        new_row[j] = norm(sum(row[k] * c for k, c in terms
-                                              if row[k]))
-                acc = new
-        out.append(acc)
+    out = list(trace.transitions[:1])
+    for t in trace.transitions[1:]:
+        changed = list(compress(count(), map(ne, t, units)))
+        terms = {j: [(k, t[k][j]) for k in {j, *changed} if t[k][j]]
+                 for k in changed for j in compress(count(), map(ne, t[k], units[k]))}
+        rows = {}
+        for i, row in enumerate(out[-1]):
+            if any(row[k] for k in changed):
+                new = rows[i] = list(row)
+                for j, tj in terms.items():
+                    new[j] = norm(sum(row[k] * c for k, c in tj if row[k]))
+        out.append(refreeze(out[-1], rows))
     return out

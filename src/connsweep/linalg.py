@@ -4,13 +4,14 @@ Matrices are lists of row lists. Values are Python ints wherever possible
 and fractions.Fraction otherwise, so every operation is exact. Nothing here
 knows about chain partitions; callers slice blocks out themselves.
 Changes of basis are lists of elementary ops, applied by conjugate and
-multiplied out by ops_product.
+multiplied out by frozen_product; frozen matrices share unchanged rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import is_not
 
 
 def norm(v):
@@ -52,6 +53,17 @@ def freeze(a):
     return tuple(tuple(row) for row in a)
 
 
+def refreeze(frozen, rows):
+    """frozen with rows ({0-based index: row}) frozen in, sharing every row
+    that did not change; frozen itself when none did."""
+    out = list(frozen)
+    for i, row in rows.items():
+        row = tuple(row)
+        if row != frozen[i]:
+            out[i] = row
+    return tuple(out) if any(map(is_not, out, frozen)) else frozen
+
+
 def thaw(a):
     return [list(row) for row in a]
 
@@ -71,16 +83,18 @@ def solve_upper(u, b):
     return x
 
 
-def _add_column(a, s, d, c):
-    """Column d += c * column s, 0-based, in place."""
-    for row in a:
-        v = row[s]
-        if v:
-            row[d] = norm(row[d] + c * v)
+def _add_column(rows, s, d, c):
+    """Column d += c * column s, 0-based, in place, over (index, row)
+    pairs; returns the pairs of the rows it changed."""
+    hit = [(i, row) for i, row in rows if row[s]]
+    for _, row in hit:
+        row[d] = norm(row[d] + c * row[s])
+    return hit
 
 
 def conjugate(dense, ops):
-    """dense <- T^{-1} @ dense @ T in place, for T the product of ops.
+    """dense <- T^{-1} @ dense @ T in place, for T the product of ops;
+    returns the rows it changed as {0-based index: row}.
 
     An op (s, d, c) is 1-based and stands for the elementary matrix
     I + c*E_{s,d}; T multiplies them in list order. Each op adds c times
@@ -90,27 +104,30 @@ def conjugate(dense, ops):
     row d from itself. Taking the ops one at a time undoes them in the
     right order even when they do not commute.
     """
+    changed = {}
     for s, d, c in ops:
         s -= 1
         d -= 1
-        _add_column(dense, s, d, c)
+        changed.update(_add_column(enumerate(dense), s, d, c))
         row_d = dense[d]
         if any(row_d):
-            row_s = dense[s]
+            row_s = changed[s] = dense[s]
             inv = exact_div(c, 1 + c) if s == d else c
             for k, v in enumerate(row_d):
                 if v:
                     row_s[k] = norm(row_s[k] - inv * v)
-    return dense
+    return changed
 
 
-def ops_product(m, ops):
-    """The m x m transition T of an op list, scaling ops (s == d)
-    included: conjugate's column updates applied to the identity."""
-    t = identity(m)
+def frozen_product(units, ops):
+    """The transition T of an op list, scaling ops (s == d) included: conjugate's
+    column updates on the rows of the frozen identity units they reach."""
+    rows = {}
     for s, d, c in ops:
-        _add_column(t, s - 1, d - 1, c)
-    return t
+        if s - 1 not in rows:
+            rows[s - 1] = list(units[s - 1])
+        _add_column(rows.items(), s - 1, d - 1, c)
+    return refreeze(units, rows)
 
 
 def cancel_ops(row, p, cols):

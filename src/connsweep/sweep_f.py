@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .core import (PRIMARY, AlgorithmError, SweepTrace, accumulated_basis,
                    frozen_transitions, require_valid, sweep_diagonals)
-from .linalg import cancel_ops, freeze
+from .linalg import cancel_ops
 
 
 def transition_ops(delta_r, cb_positions, primary_of_row):
@@ -57,5 +57,5 @@ def sweep_accumulated(matrix):
     """
     trace = sweep_incremental(matrix)
     return SweepTrace("accumulated", matrix, trace.matrices,
-                      tuple(freeze(p) for p in accumulated_basis(trace)),
+                      tuple(accumulated_basis(trace)),
                       trace.registry)

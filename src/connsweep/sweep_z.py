@@ -25,8 +25,8 @@ from math import gcd
 from .core import (PRIMARY, AlgorithmError, SweepTrace, require_valid,
                    sweep_diagonals)
 from .linalg import (clear_denominators, exact_div, freeze, identity,
-                     integer_kernel_basis, reduce_mod_lattice, solve_upper,
-                     xgcd)
+                     integer_kernel_basis, reduce_mod_lattice, refreeze,
+                     solve_upper, xgcd)
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,15 @@ def solve_min_leading(problem):
 
 
 def sweep_over_z(matrix):
-    """Integer sweeping; the trace also records every kernel problem solved."""
+    """Integer sweeping; the trace's transitions are the running bases P^r."""
     require_valid(matrix)
     m = matrix.m
     basis = identity(m)  # P^r, updated in place
     bases = [freeze(basis)]
-    problems = []
 
     def integer_min_ops(dense, found, primary_of_row):
         solved = []
+        changed = {}  # the rows of P^r this diagonal may change
         for i, j, kind in found:
             if kind == PRIMARY:
                 continue
@@ -104,7 +104,6 @@ def sweep_over_z(matrix):
             problem = KernelProblem(
                 [[matrix.entry(row, col) for col in cols_j] for row in rows_i],
                 len(cols_j))
-            problems.append(problem)
             x = [0] * m
             for col, xv in zip(cols_j, solve_min_leading(problem)):
                 x[col - 1] = xv
@@ -116,11 +115,11 @@ def sweep_over_z(matrix):
                     for s, ys in enumerate(y, start=1) if ys and s != j]
             if y[j - 1] != 1:
                 ops.append((j, j, y[j - 1] - 1))
+            changed.update((k, row) for k, row in enumerate(basis) if row[j - 1] or x[k])
             for row, xv in zip(basis, x):
                 row[j - 1] = xv
-        bases.append(freeze(basis) if solved else bases[-1])
+        bases.append(refreeze(bases[-1], changed))
         return ops
 
     matrices, _, registry = sweep_diagonals(matrix, integer_min_ops)
-    return SweepTrace("z", matrix, tuple(matrices), tuple(bases), registry,
-                      kernel_problems=tuple(problems))
+    return SweepTrace("z", matrix, tuple(matrices), tuple(bases), registry)

@@ -9,12 +9,12 @@ Delta^0 P for the running bases P), never by inverting or replaying a
 change of basis.
 
 The product form is evaluated sparsely and exactly. With T = I + N, where
-N is read off the rows of T that differ from the identity's (one tuple
-comparison per row), a link holds when Delta^{r+1} + N Delta^{r+1} ==
-Delta^r + Delta^r N. Only the rows in N's row support change on the left
-and only the columns in its column support on the right, so a link costs
-one row-by-row comparison of two matrices plus work proportional to the
-nonzeros N meets, not an m x m product.
+N is read off the rows of T that differ from the identity's (rows shared
+with the T before are not read again), a link holds when Delta^{r+1} +
+N Delta^{r+1} == Delta^r + Delta^r N. Only the rows in N's row support
+change on the left and only the columns in its column support on the
+right, so a link costs one comparison of the rows two matrices do not
+share plus work proportional to the nonzeros N meets, not an m x m product.
 
 Every stored transition obeys one rule (_transition_structure): upper
 triangular within chain groups, a unit diagonal (nonzero for the integer
@@ -25,33 +25,40 @@ read from T - I, or from P^r - P^{r-1} for a running basis.
 from __future__ import annotations
 
 from itertools import compress, count
-from operator import eq, ne
+from operator import getitem, is_not, itemgetter, ne
 
-from .core import CHANGE_OF_BASIS, PRIMARY, allowable_pattern, validate
+from .core import CHANGE_OF_BASIS, PRIMARY, pattern_test, validate
 from .linalg import freeze, identity
 from .oracles import ilp_box_fits, ilp_brute_force
 from .sweep_z import KernelProblem
 
 
-def _row_changes(t, base):
+def _new_rows(t, prev):
+    """Indices of the rows of t that are not prev's own objects (the rest equal)."""
+    return compress(count(), map(is_not, t, prev))
+
+
+def _row_changes(t, base, rows=None):
     """t - base as {row: [(column, difference), ...]}, 0-based, over the
-    rows where the two differ, each row's entries in column order."""
+    given rows (by default those that are not base's own objects) where the
+    two differ, each row's entries in column order."""
     return {i: [(j, t[i][j] - base[i][j])
                 for j in compress(count(), map(ne, t[i], base[i]))]
-            for i in compress(count(), map(ne, t, base))}
+            for i in (_new_rows(t, base) if rows is None else rows)
+            if t[i] != base[i]}
 
 
 def _offsets(transitions):
-    """T - I as row changes for each transition T; a transition stored as
-    one object several times, as the identity is, is compared once."""
+    """T - I as row changes for each transition T; a row that is the
+    previous T's own object keeps the change found for it there."""
     units = freeze(identity(len(transitions[0]))) if transitions else ()
-    seen = {}
+    prev, n = units, {}
     out = []
     for t in transitions:
-        n = seen.get(id(t))
-        if n is None:
-            n = seen[id(t)] = _row_changes(t, units)
+        n = dict(sorted({**{i: c for i, c in n.items() if t[i] is prev[i]},
+                         **_row_changes(t, units, _new_rows(t, prev))}.items()))
         out.append(n)
+        prev = t
     return out
 
 
@@ -69,24 +76,23 @@ def _left_update(n, b):
     return rows
 
 
-def _right_update(base, a_cols, d):
-    """The rows of base + a D, one at a time, for a given by its columns
-    and D by its row changes: row i gains a[i][k] * D[k] for each nonzero
-    a[i][k], so only the columns in D's column support change."""
+def _right_update(base, a, d):
+    """The rows of base + a D, D given by its row changes: row i gains
+    a[i][k] * D[k] for each nonzero a[i][k], so only a's columns in D's row
+    support are read and only the columns in D's column support change."""
     hits = {}
     for k in d:
-        for i in compress(count(), a_cols[k]):
+        for i in compress(count(), map(itemgetter(k), a)):
             hits.setdefault(i, []).append(k)
-    for i, row in enumerate(base):
-        ks = hits.get(i)
-        if ks:
-            row = list(row)
-            for k in ks:
-                aik = a_cols[k][i]
-                for j, c in d[k]:
-                    row[j] += aik * c
-            row = tuple(row)
-        yield row
+    rows = list(base)
+    for i, ks in hits.items():
+        row = list(base[i])
+        for k in ks:
+            aik = a[i][k]
+            for j, c in d[k]:
+                row[j] += aik * c
+        rows[i] = tuple(row)
+    return rows
 
 
 def _basis_steps(bases):
@@ -101,11 +107,10 @@ def _delta0_products(trace, steps):
     Delta^0 P^r = Delta^0 P^{r-1} + Delta^0 (P^r - P^{r-1}), the last term
     from steps (_basis_steps)."""
     delta0 = trace.matrices[0]
-    cols = list(zip(*delta0))
     product = list(delta0)
     products = []
     for step in steps:
-        product = list(_right_update(product, cols, step))
+        product = _right_update(product, delta0, step)
         products.append(product)
     return products
 
@@ -128,21 +133,19 @@ def _fresh_rows(matrices):
     A check whose verdict on an entry cannot get better from one matrix to
     the next reads only these, since a violation in a row left as it was
     is reported at the matrix before, which comes first."""
-    prev = None
+    prev = (None,) * len(matrices[0]) if matrices else ()
     for r, dense in enumerate(matrices):
-        if dense is not prev:
-            for i, row in enumerate(dense, start=1):
-                if prev is None or row != prev[i - 1]:
-                    yield r, i, row
+        yield from ((r, i + 1, dense[i]) for i in _new_rows(dense, prev)
+                    if dense[i] != prev[i])
         prev = dense
 
 
-def _pattern_compliance(out, name, fresh, pattern):
-    """fresh: the (r, i, row) triples of _fresh_rows."""
+def _pattern_compliance(out, name, fresh, allowed):
+    """fresh: the (r, i, row) triples of _fresh_rows; allowed: a pattern_test."""
     bad = []
     for r, i, row in fresh:
         for j in compress(count(1), row):
-            if (i, j) not in pattern:
+            if not allowed(i, j):
                 bad.append(f"matrix {r} has a nonzero at {(i, j)} outside the pattern")
     _check(out, name, bad)
 
@@ -173,14 +176,13 @@ def _below_diagonal_structure(out, matrices, fresh, marks):
         changed.setdefault(r, set()).add(i)
     for r, dense in enumerate(matrices):
         pivot_row_of_col = _pivot_rows(marks, before=r)
-        rows = changed.get(r, ())
-        for i, row in enumerate(dense, start=1):
-            if i in rows:
-                cols = compress(count(1), row)
-            elif 0 < i + r - 1 <= len(row) and row[i + r - 2]:
-                cols = (i + r - 1,)
-            else:
-                continue
+        rows = changed.get(r, set())
+        # the rows i with a nonzero on diagonal r - 1, at column i + r - 1
+        on_diagonal = (compress(count(1), map(getitem, dense, range(r - 1, len(dense))))
+                       if r else ())
+        for i in sorted(rows.union(on_diagonal)):
+            row = dense[i - 1]
+            cols = compress(count(1), row) if i in rows else (i + r - 1,)
             for j in cols:
                 if j - i < r and not _above_pivot(pivot_row_of_col, i, j):
                     bad.append(f"matrix {r}: nonzero at {(i, j)} below diagonal {r} "
@@ -234,12 +236,7 @@ def _similarity(out, trace, offsets, products=None):
     else:
         for r in range(len(mats) - 1):
             n = offsets[r]
-            if n:
-                holds = all(map(eq, _left_update(n, mats[r + 1]),
-                                _right_update(mats[r], list(zip(*mats[r])), n)))
-            else:
-                holds = mats[r + 1] == mats[r]
-            if not holds:
+            if _left_update(n, mats[r + 1]) != _right_update(mats[r], mats[r], n):
                 bad.append(f"T^{r} Delta^{r + 1} != Delta^{r} T^{r}")
     _check(out, "similarity", bad)
 
@@ -305,9 +302,9 @@ def verify_sweep(trace):
     """Checks for z / accumulated / incremental sweep traces."""
     out = []
     _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
-    pattern = allowable_pattern(trace.matrix.partition, trace.matrix.m)
+    allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
     fresh = list(_fresh_rows(trace.matrices))
-    _pattern_compliance(out, "pattern_compliance", fresh, pattern)
+    _pattern_compliance(out, "pattern_compliance", fresh, allowed)
     offsets = _offsets(trace.transitions)
     changes, products = offsets, None
     running = trace.algorithm in ("z", "accumulated")
@@ -315,7 +312,7 @@ def verify_sweep(trace):
         changes = _basis_steps(trace.transitions)
         products = _delta0_products(trace, changes)
         _pattern_compliance(out, "pattern_compliance_product",
-                            _fresh_rows(products), pattern)
+                            _fresh_rows(products), allowed)
     marks = trace.registry.marks
     _below_diagonal_structure(out, trace.matrices, fresh, marks)
     # Mark (i, j) may change column j of P^r, but of T^r only (p, j), (i, p) a pivot.
@@ -338,9 +335,9 @@ def verify_row_cancellation(trace):
     """Structural checks for a row-cancellation trace, item by item."""
     out = []
     _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
-    pattern = allowable_pattern(trace.matrix.partition, trace.matrix.m)
+    allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
     fresh = list(_fresh_rows(trace.matrices))
-    _pattern_compliance(out, "pattern_compliance", fresh, pattern)
+    _pattern_compliance(out, "pattern_compliance", fresh, allowed)
     marks = trace.registry.marks
     mats = trace.matrices
     _below_diagonal_structure(out, mats, fresh, marks)

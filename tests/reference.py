@@ -1,6 +1,10 @@
 """Independent reference computations that tests compare the package against."""
 
-from connsweep.linalg import norm, solve_upper, thaw
+from itertools import compress, count
+
+from connsweep import CHANGE_OF_BASIS, KernelProblem
+from connsweep.linalg import (freeze, frozen_product, identity, norm,
+                              solve_upper, thaw)
 
 
 def invert_upper(u):
@@ -10,6 +14,11 @@ def invert_upper(u):
         raise ValueError("zero diagonal entry in triangular inverse")
     cols = [solve_upper(u, [int(i == c) for i in range(n)]) for c in range(n)]
     return [list(row) for row in zip(*cols)]
+
+
+def ops_product(m, ops):
+    """The m x m transition of an op list as row lists (linalg.frozen_product)."""
+    return thaw(frozen_product(freeze(identity(m)), ops))
 
 
 def is_identity(a):
@@ -67,3 +76,59 @@ def similarity_holds(trace):
                    for r in range(1, len(mats)))
     return all(mat_eq(mat_mul(ts[r], mats[r + 1]), mat_mul(mats[r], ts[r]))
                for r in range(len(mats) - 1))
+
+
+def kernel_problems(trace):
+    """The kernel problem of each change-of-basis mark (i, j) of a z trace,
+    in mark order, rebuilt from the input: the rows of the chain group
+    below j's from i down, over the columns of j's group up to j."""
+    matrix = trace.matrix
+    out = []
+    for mk in trace.registry.marks:
+        if mk.kind != CHANGE_OF_BASIS:
+            continue
+        i, j = mk.position
+        k = matrix.chain_index(j)
+        cols = sorted(col for col in matrix.partition[k] if col <= j)
+        rows = sorted(row for row in matrix.partition[k - 1] if row >= i)
+        out.append(KernelProblem(
+            [[matrix.entry(row, col) for col in cols] for row in rows], len(cols)))
+    return out
+
+
+def _entry_lines(dense):
+    out = []
+    for i, row in enumerate(dense, start=1):
+        if any(row):
+            out.extend(f"entry {i} {j} {row[j - 1]}"
+                       for j in compress(count(1), row))
+    return out
+
+
+def trace_lines(trace, full):
+    """The records of trace.txt, every row of every matrix and transition
+    formatted afresh."""
+    lines = []
+    if trace.algorithm == "block":
+        for run in trace.runs:
+            lines.append(f"block {run.k}")
+            lines.append("Jk_pivot_columns " +
+                         " ".join(str(c) for c in sorted(run.pivot_columns)))
+            lines.extend(trace_lines(run.trace, full))
+        return lines
+    if trace.algorithm == "revised1":
+        records = [(f"step {t}", [mk], trace.transitions[t - 1], t)
+                   for t, mk in enumerate(trace.registry.marks, start=1)]
+    else:
+        records = [(f"r {r}", trace.registry.on_diagonal(r), trace.transitions[r], r)
+                   for r in range(1, trace.matrix.m)]
+    for label, marks, t, idx in records:
+        lines.append(label)
+        lines.extend(f"mark {mk.kind} {mk.position[0]} {mk.position[1]} {mk.value}"
+                     for mk in marks)
+        lines.append("transition")
+        lines.extend(_entry_lines(t))
+        if full:
+            lines.append("matrix")
+            lines.extend(_entry_lines(trace.matrices[idx]))
+    return lines

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 
@@ -107,6 +108,23 @@ def test_oversized_m_and_b_rejected_before_allocating():
     with pytest.raises(CmxError, match="unexpected end of input"):
         parse_cmx("CMX 1\nm 3000000\nb 3000000\nindex 1 0\n")
     assert time.perf_counter() - start < 0.5
+
+
+def test_large_sparse_input_parses_in_little_memory():
+    """Pattern membership is tested, not enumerated: one entry in a 4000 x
+    4000 one-block matrix costs no 2000 x 2000 position set."""
+    m = 4000
+    text = (f"CMX 1\nm {m}\nb 1\n"
+            + "".join(f"index {c} {int(c > m // 2)}\n" for c in range(1, m + 1))
+            + f"entry 1 {m} 1\n")
+    tracemalloc.start()
+    try:
+        cm = parse_cmx(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cm.entries == {(1, m): 1}
+    assert peak < 8 * 2 ** 20
 
 
 def test_parse_accepts_stream():

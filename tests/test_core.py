@@ -1,6 +1,10 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from connsweep import (ConnectionMatrix, allowable_pattern, validate)
+from connsweep.core import pattern_test
 from connsweep.fixtures import (FIX_CB, FIX_FIG3L, FIX_FIG3R, FIX_SPHERE,
                                 FIX_TUCB, FIX_ZERO)
 from connsweep.linalg import thaw
@@ -45,6 +49,37 @@ def test_validate_reports_pattern_membership():
     assert len(violations) == 1
     assert violations[0].invariant == "pattern"
     assert violations[0].position == (1, 4)
+
+
+@st.composite
+def partitions(draw):
+    """m and J_0..J_b, valid or not: groups may repeat an index, leave one
+    out, or hold one outside 1..m."""
+    m = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        groups = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        parts = [{i for i, k in enumerate(groups, start=1) if k == g}
+                 for g in range(max(groups) + 1)]
+    else:
+        parts = draw(st.lists(st.sets(st.integers(-1, m + 2), max_size=m),
+                              min_size=1, max_size=5))
+    return m, parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions(), st.dictionaries(
+    st.tuples(st.integers(-1, 10), st.integers(-1, 10)),
+    st.integers(1, 3), max_size=12))
+def test_pattern_test_agrees_with_allowable_pattern(case, entries):
+    m, parts = case
+    pattern = allowable_pattern(parts, m)
+    allowed = pattern_test(parts, m)
+    span = range(-1, m + 3)
+    assert {(i, j) for i in span for j in span if allowed(i, j)} == pattern
+    cm = ConnectionMatrix(m, parts, entries)
+    reported = {v.position for v in validate(cm) if v.invariant == "pattern"}
+    assert reported == {(i, j) for (i, j) in entries
+                        if 1 <= i < j <= m and (i, j) not in pattern}
 
 
 def test_validate_reports_triangularity_and_partition():

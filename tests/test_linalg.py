@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from connsweep.linalg import (bareiss_det, clear_denominators, conjugate,
                               exact_div, identity, integer_kernel_basis, norm,
-                              ops_product, rank, reduce_mod_lattice, xgcd)
-from reference import invert_upper, is_identity, mat_mul
+                              rank, reduce_mod_lattice, xgcd)
+from reference import invert_upper, is_identity, mat_mul, ops_product
 
 
 def test_norm_and_exact_div():
@@ -146,7 +146,9 @@ def test_conjugate_is_similarity_by_ops_product(case):
     m, dense, ops = case
     t = ops_product(m, ops)
     expected = mat_mul(mat_mul(invert_upper(t), dense), t)
-    assert conjugate([row[:] for row in dense], ops) == expected
+    work = [row[:] for row in dense]
+    conjugate(work, ops)
+    assert work == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from connsweep import (PRIMARY, pivot_rank_oracle, row_cancellation,
                        sweep_incremental, sweep_over_z)
 from connsweep.cmx import parse_cmx, serialize_cmx
+from reference import kernel_problems
 
 RATIONAL_TEXT = """\
 CMX 1
@@ -41,7 +42,7 @@ def test_positions_agree_values_may_rescale():
     # the integer sweep replaced column 4 with leading coefficient 3,
     # scaling the later pivot by that factor
     assert primary_marks(tz) == {(2, 3): Fraction(-1, 2), (1, 4): -1}
-    [problem] = tz.kernel_problems
+    [problem] = kernel_problems(tz)
     from connsweep import solve_min_leading
     assert solve_min_leading(problem) == (-4, 3)
 

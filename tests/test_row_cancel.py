@@ -12,9 +12,9 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        smale_cancellation_sweep, sweep_incremental,
                        betti_over_q)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.linalg import freeze, identity, ops_product, thaw
+from connsweep.linalg import freeze, identity, thaw
 from connsweep.verify import verify_block_runs, verify_row_cancellation
-from reference import is_identity, mat_mul
+from reference import is_identity, mat_mul, ops_product
 
 
 def pivots_of(trace):

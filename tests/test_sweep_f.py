@@ -7,9 +7,9 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        accumulated_basis, sweep_accumulated, sweep_incremental,
                        sweep_over_z, transition_ops)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.linalg import freeze, identity, ops_product, thaw
+from connsweep.linalg import freeze, identity, thaw
 from connsweep.verify import verify_sweep
-from reference import invert_upper, is_identity, mat_mul
+from reference import invert_upper, is_identity, mat_mul, ops_product
 
 
 def marks_of(trace):
