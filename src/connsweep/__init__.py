@@ -7,8 +7,8 @@ from .cmx import parse_cmx, serialize_cmx
 from .core import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError, CmxError,
                    ConnectionMatrix, ConnSweepError, InvalidMatrixError, Mark,
                    MarkRegistry, PreconditionError, SweepTrace, Violation,
-                   accumulated_basis, allowable_pattern, marks_on_diagonal,
-                   require_valid, validate)
+                   allowable_pattern, marks_on_diagonal, require_valid,
+                   validate)
 from .oracles import (IlpWitness, RandomSpec, ilp_brute_force,
                       pivot_rank_oracle, random_connection_matrix)
 from .row_cancel import (ReductionStep, ReductionTrace,

@@ -10,11 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count
-from operator import ne
 
-from .linalg import (as_exact, conjugate, freeze, frozen_product, identity, norm,
-                     refreeze)
+from .linalg import as_exact, conjugate, freeze, frozen_product, identity, refreeze
 
 Position = tuple[int, int]
 
@@ -256,8 +253,9 @@ class SweepTrace:
     m x m matrix (z, accumulated, incremental, rowcancel) keeps the m+1
     matrices and m transitions of sweep_diagonals; the revised one-block run
     keeps one of each per step. For the accumulated variants the
-    transitions are the running change-of-basis matrices; for the others
-    they are the per-diagonal (or per-step) ones. Each is a tuple of row
+    transitions are the running change-of-basis matrices P^r; for the
+    others they are the per-diagonal (or per-step) ones T^r. One routine,
+    linalg.frozen_product, multiplies out each. Each is a tuple of row
     tuples sharing the rows its step left alone with the one before (a
     per-step T with one identity): a trace retains the rows that changed.
     """
@@ -347,31 +345,3 @@ def marks_on_diagonal(trace, r):
         raise PreconditionError(f"diagonal {r} outside 1..{m - 1}")
     return [(mk.position, mk.kind) for mk in trace.registry.on_diagonal(r)]
 
-
-def accumulated_basis(trace):
-    """Coefficient matrices expressing each basis element in the original one.
-
-    Entry r is the change of basis taking the original basis to the one of
-    matrix r+1; column j of it expands the j-th basis element. Accumulated
-    traces store these directly, incremental ones multiply out lazily:
-    P^r = P^{r-1} T^r recomputes only the columns j where T^r differs from
-    the identity, as the sum of P^{r-1}[:, k] T^r[k][j] over T^r's nonzeros
-    in column j; a row of P^{r-1} that is zero wherever T^r's row k is not
-    the identity's is shared as it is. Every P^r is frozen.
-    """
-    if trace.algorithm in ("z", "accumulated"):
-        return list(trace.transitions)
-    units = freeze(identity(trace.matrix.m))
-    out = list(trace.transitions[:1])
-    for t in trace.transitions[1:]:
-        changed = list(compress(count(), map(ne, t, units)))
-        terms = {j: [(k, t[k][j]) for k in {j, *changed} if t[k][j]]
-                 for k in changed for j in compress(count(), map(ne, t[k], units[k]))}
-        rows = {}
-        for i, row in enumerate(out[-1]):
-            if any(row[k] for k in changed):
-                new = rows[i] = list(row)
-                for j, tj in terms.items():
-                    new[j] = norm(sum(row[k] * c for k, c in tj if row[k]))
-        out.append(refreeze(out[-1], rows))
-    return out

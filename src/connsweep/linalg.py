@@ -10,8 +10,9 @@ multiplied out by frozen_product; frozen matrices share unchanged rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd
-from operator import is_not
+from operator import is_not, itemgetter
 
 
 def norm(v):
@@ -119,15 +120,19 @@ def conjugate(dense, ops):
     return changed
 
 
-def frozen_product(units, ops):
-    """The transition T of an op list, scaling ops (s == d) included: conjugate's
-    column updates on the rows of the frozen identity units they reach."""
-    rows = {}
+def frozen_product(base, ops):
+    """base @ T for a frozen base, T the product of ops: conjugate's column
+    update on each row with a nonzero in column s; the rest are base's own.
+    Column s of base is scanned once, at its first op."""
+    rows, scanned = {}, set()
     for s, d, c in ops:
-        if s - 1 not in rows:
-            rows[s - 1] = list(units[s - 1])
-        _add_column(rows.items(), s - 1, d - 1, c)
-    return refreeze(units, rows)
+        s -= 1
+        if s not in scanned:
+            scanned.add(s)
+            rows.update((i, list(base[i])) for i in
+                        compress(count(), map(itemgetter(s), base)) if i not in rows)
+        _add_column(rows.items(), s, d - 1, c)
+    return refreeze(base, rows)
 
 
 def cancel_ops(row, p, cols):

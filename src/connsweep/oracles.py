@@ -185,6 +185,8 @@ def ilp_brute_force(problem, bound):
     small. Desk scale only: a box past ILP_MAX_BOX points is refused up front.
     """
     c = problem.c
+    if bound < 0:
+        raise PreconditionError(f"the bound must be nonnegative, got {bound}")
     if not ilp_box_fits(c, bound):
         raise PreconditionError(f"the box |x_i| <= {bound} over {c} columns has more "
                                 f"than {ILP_MAX_BOX} points to enumerate")

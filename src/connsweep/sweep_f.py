@@ -7,14 +7,16 @@ is 1. That per-diagonal change of basis T^r is the op list transition_ops
 gives core.sweep_diagonals, which conjugates the working matrix by it in
 place; the trace stores its product. The accumulated variant is the same
 run seen through the running basis P^r = T^0 T^1 ... T^r instead of the
-per-diagonal T^r.
+per-diagonal T^r; linalg.frozen_product multiplies out both.
 """
 
 from __future__ import annotations
 
-from .core import (PRIMARY, AlgorithmError, SweepTrace, accumulated_basis,
-                   frozen_transitions, require_valid, sweep_diagonals)
-from .linalg import cancel_ops
+from itertools import accumulate
+
+from .core import (PRIMARY, AlgorithmError, SweepTrace, frozen_transitions,
+                   require_valid, sweep_diagonals)
+from .linalg import cancel_ops, freeze, frozen_product, identity
 
 
 def transition_ops(delta_r, cb_positions, primary_of_row):
@@ -36,13 +38,18 @@ def transition_ops(delta_r, cb_positions, primary_of_row):
     return ops
 
 
-def sweep_incremental(matrix):
-    """Incremental sweeping; returns the trace of matrices and transitions."""
+def _sweep(matrix):
+    """sweep_diagonals under the incremental rule (transition_ops)."""
     require_valid(matrix)
-    matrices, op_lists, registry = sweep_diagonals(
+    return sweep_diagonals(
         matrix, lambda dense, found, primary_of_row: transition_ops(
             dense, [(i, j) for i, j, kind in found if kind != PRIMARY],
             primary_of_row))
+
+
+def sweep_incremental(matrix):
+    """Incremental sweeping; returns the trace of matrices and transitions."""
+    matrices, op_lists, registry = _sweep(matrix)
     return SweepTrace("incremental", matrix, tuple(matrices),
                       frozen_transitions(matrix.m, op_lists), registry)
 
@@ -53,9 +60,9 @@ def sweep_accumulated(matrix):
 
     P^r replaces the column of each change-of-basis pivot at (i, j), with
     primary pivot (i, p), by P^{r-1} y for y = 1 at the pivot column and
-    -delta[i][j]/delta[i][p] at the primary column; that is P^{r-1} T^r.
+    -delta[i][j]/delta[i][p] at the primary column: P^{r-1} T^r, from T^r's ops.
     """
-    trace = sweep_incremental(matrix)
-    return SweepTrace("accumulated", matrix, trace.matrices,
-                      tuple(accumulated_basis(trace)),
-                      trace.registry)
+    matrices, op_lists, registry = _sweep(matrix)
+    bases = accumulate(op_lists, frozen_product, initial=freeze(identity(matrix.m)))
+    return SweepTrace("accumulated", matrix, tuple(matrices),
+                      tuple(bases)[1:], registry)

@@ -14,7 +14,8 @@ for each pivot, y = (P^{r-1})^{-1} x by one triangular solve gives the ops
 (s, j, y_s/y_j) for s != j and, when the leading coefficient leaves
 y_j != 1, the scaling op (j, j, y_j - 1). Column j of T^r is y and y is
 zero below row j, so taking the pivots in decreasing column order
-multiplies their factors out to T^r.
+multiplies their factors out to T^r; no solve reads a column an earlier
+one replaces. P^r is linalg.frozen_product(P^{r-1}, ops).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from math import gcd
 
 from .core import (PRIMARY, AlgorithmError, SweepTrace, require_valid,
                    sweep_diagonals)
-from .linalg import (clear_denominators, exact_div, freeze, identity,
-                     integer_kernel_basis, reduce_mod_lattice, refreeze,
+from .linalg import (clear_denominators, exact_div, freeze, frozen_product,
+                     identity, integer_kernel_basis, reduce_mod_lattice,
                      solve_upper, xgcd)
 
 
@@ -89,13 +90,11 @@ def sweep_over_z(matrix):
     """Integer sweeping; the trace's transitions are the running bases P^r."""
     require_valid(matrix)
     m = matrix.m
-    basis = identity(m)  # P^r, updated in place
-    bases = [freeze(basis)]
+    bases = [freeze(identity(m))]  # P^0, ..., P^r so far
 
     def integer_min_ops(dense, found, primary_of_row):
-        solved = []
-        changed = {}  # the rows of P^r this diagonal may change
-        for i, j, kind in found:
+        ops = []
+        for i, j, kind in reversed(found):
             if kind == PRIMARY:
                 continue
             k = matrix.chain_index(j)
@@ -107,18 +106,12 @@ def sweep_over_z(matrix):
             x = [0] * m
             for col, xv in zip(cols_j, solve_min_leading(problem)):
                 x[col - 1] = xv
-            solved.append((j, x))
-        ops = []
-        for j, x in reversed(solved):
-            y = solve_upper(basis, x)
+            y = solve_upper(bases[-1], x)
             ops += [(s, j, exact_div(ys, y[j - 1]))
                     for s, ys in enumerate(y, start=1) if ys and s != j]
             if y[j - 1] != 1:
                 ops.append((j, j, y[j - 1] - 1))
-            changed.update((k, row) for k, row in enumerate(basis) if row[j - 1] or x[k])
-            for row, xv in zip(basis, x):
-                row[j - 1] = xv
-        bases.append(refreeze(bases[-1], changed))
+        bases.append(frozen_product(bases[-1], ops))
         return ops
 
     matrices, _, registry = sweep_diagonals(matrix, integer_min_ops)

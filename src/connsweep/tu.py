@@ -78,6 +78,8 @@ def sample_non_tu_witness(matrix, *, samples=500, seed=0):
     Returns a TuCounterexample when some sampled square submatrix has a
     determinant outside {0, 1, -1}; returns None ("unfalsified") otherwise.
     """
+    if samples < 1:
+        raise PreconditionError(f"need at least one sample, got {samples}")
     require_valid(matrix)
     for (i, j), v in sorted(matrix.entries.items()):
         if v not in (-1, 0, 1):

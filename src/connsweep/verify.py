@@ -331,6 +331,18 @@ def verify_sweep(trace):
     return out
 
 
+def _first_nonzero_after(mats, changed_rows, r, i, lo=0):
+    """The first matrix s > r whose row i has a nonzero past column lo, or
+    None. Only matrix r + 1 is read; after it the row can turn nonzero only
+    in a matrix whose step changed it, its (s, row) in changed_rows[i]."""
+    if r + 1 >= len(mats):
+        return None
+    if any(mats[r + 1][i - 1][lo:]):
+        return r + 1
+    return next((s for s, row in changed_rows.get(i, ())
+                 if s > r + 1 and any(row[lo:])), None)
+
+
 def verify_row_cancellation(trace):
     """Structural checks for a row-cancellation trace, item by item."""
     out = []
@@ -350,23 +362,20 @@ def verify_row_cancellation(trace):
                    "and pivot columns at once")
     _check(out, "pivot_row_column_exclusion", bad)
 
-    bad = []
+    changed_rows = {}
+    for r, i, row in fresh:
+        changed_rows.setdefault(i, []).append((r, row))
+    row_bad, right_bad = [], []
     for mk in marks:
         i, j = mk.position
-        for s in range(mk.diagonal + 1, len(mats)):
-            if any(mats[s][j - 1]):
-                bad.append(f"row {j} not zero in matrix {s} after its pivot")
-                break
-    _check(out, "pivot_row_zeroed", bad)
-
-    bad = []
-    for mk in marks:
-        i, j = mk.position
-        for s in range(mk.diagonal + 1, len(mats)):
-            if any(mats[s][i - 1][j:]):
-                bad.append(f"matrix {s}: entries right of pivot {(i, j)} not zero")
-                break
-    _check(out, "pivot_right_zeroed", bad)
+        s = _first_nonzero_after(mats, changed_rows, mk.diagonal, j)
+        if s is not None:
+            row_bad.append(f"row {j} not zero in matrix {s} after its pivot")
+        s = _first_nonzero_after(mats, changed_rows, mk.diagonal, i, j)
+        if s is not None:
+            right_bad.append(f"matrix {s}: entries right of pivot {(i, j)} not zero")
+    _check(out, "pivot_row_zeroed", row_bad)
+    _check(out, "pivot_right_zeroed", right_bad)
 
     bad = []
     rows_seen = set()

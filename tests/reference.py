@@ -3,8 +3,7 @@
 from itertools import compress, count
 
 from connsweep import CHANGE_OF_BASIS, KernelProblem
-from connsweep.linalg import (freeze, frozen_product, identity, norm,
-                              solve_upper, thaw)
+from connsweep.linalg import identity, norm, solve_upper, thaw
 
 
 def invert_upper(u):
@@ -17,8 +16,14 @@ def invert_upper(u):
 
 
 def ops_product(m, ops):
-    """The m x m transition of an op list as row lists (linalg.frozen_product)."""
-    return thaw(frozen_product(freeze(identity(m)), ops))
+    """The m x m transition of an op list as row lists, multiplied out
+    densely: op (s, d, c) adds c times column s to column d of the product
+    so far."""
+    t = identity(m)
+    for s, d, c in ops:
+        for row in t:
+            row[d - 1] = norm(row[d - 1] + c * row[s - 1])
+    return t
 
 
 def is_identity(a):
@@ -76,6 +81,26 @@ def similarity_holds(trace):
                    for r in range(1, len(mats)))
     return all(mat_eq(mat_mul(ts[r], mats[r + 1]), mat_mul(mats[r], ts[r]))
                for r in range(len(mats) - 1))
+
+
+def pivot_zeroed_verdicts(trace):
+    """{check name: (ok, first failure)} for a row-cancellation trace's
+    pivot_row_zeroed and pivot_right_zeroed, reading each pivot's row in
+    every matrix after its diagonal."""
+    mats = trace.matrices
+    row_bad, right_bad = [], []
+    for mk in trace.registry.marks:
+        i, j = mk.position
+        later = range(mk.diagonal + 1, len(mats))
+        s = next((s for s in later if any(mats[s][j - 1])), None)
+        if s is not None:
+            row_bad.append(f"row {j} not zero in matrix {s} after its pivot")
+        s = next((s for s in later if any(mats[s][i - 1][j:])), None)
+        if s is not None:
+            right_bad.append(f"matrix {s}: entries right of pivot {(i, j)} not zero")
+    return {name: (not bad, bad[0] if bad else "")
+            for name, bad in (("pivot_row_zeroed", row_bad),
+                              ("pivot_right_zeroed", right_bad))}
 
 
 def kernel_problems(trace):

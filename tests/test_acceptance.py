@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, RandomSpec,
-                       accumulated_basis, allowable_pattern, betti_over_q,
+                       allowable_pattern, betti_over_q,
                        block_sequential_row_cancellation,
                        block_sequential_sweep, generate_surface_matrix,
                        ilp_brute_force, is_totally_unimodular,
@@ -110,8 +110,7 @@ def tu_results():
             if any(v not in (1, -1) for (_, v) in _primary_set(trace)):
                 failures["ac2"].append(tag)
                 break
-        ti = sweep_incremental(cm)
-        for p in accumulated_basis(ti):
+        for p in sweep_accumulated(cm).transitions:
             ok = all(p[j][j] == 1 for j in range(cm.m)) and not any(
                 isinstance(v, Fraction) for row in p for v in row)
             if not ok:

@@ -137,6 +137,19 @@ def test_tu_check_sampled_beyond_guard(tmp_path, capsys):
     assert "unfalsified" in capsys.readouterr().out
 
 
+def test_tu_check_refuses_sampling_nothing(tmp_path, capsys):
+    from connsweep import ConnectionMatrix
+    big = ConnectionMatrix(20, [set(range(1, 11)), set(range(11, 21))],
+                           {(i, i + 10): 1 for i in range(1, 11)})
+    path = tmp_path / "big.cmx"
+    path.write_text(serialize_cmx(big))
+    for samples in ("0", "-3"):
+        assert main(["tu", "check", str(path), "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least one sample" in captured.err
+
+
 def test_surface_check_and_gen(tmp_path, capsys, sphere_path):
     assert main(["surface", "check", sphere_path]) == 0
     assert "wells=2" in capsys.readouterr().out
@@ -183,6 +196,17 @@ def test_oracle_ilp_refuses_boxes_past_desk_scale(tmp_path, capsys):
     narrow.write_text("-2 -3\n")
     assert main(["oracle", "ilp", str(narrow), "--bound", "50"]) == 0
     assert "min_leading 2" in capsys.readouterr().out
+
+
+def test_oracle_ilp_refuses_negative_bound(tmp_path, capsys):
+    path = tmp_path / "a.txt"
+    path.write_text("-2 -3\n")
+    assert main(["oracle", "ilp", str(path), "--bound", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+    assert main(["oracle", "ilp", str(path), "--bound", "0"]) == 0
+    assert capsys.readouterr().out == "none-within-bound 0\n"
 
 
 def test_gen_random_round_trips(tmp_path):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connsweep.linalg import (bareiss_det, clear_denominators, conjugate,
-                              exact_div, identity, integer_kernel_basis, norm,
-                              rank, reduce_mod_lattice, xgcd)
+                              exact_div, freeze, frozen_product, identity,
+                              integer_kernel_basis, norm, rank,
+                              reduce_mod_lattice, thaw, xgcd)
 from reference import invert_upper, is_identity, mat_mul, ops_product
 
 
@@ -158,3 +159,26 @@ def test_ops_product_is_ordered_product(case):
     m, ops = case
     expected = reduce(mat_mul, [one_op(m, *op) for op in ops], identity(m))
     assert ops_product(m, ops) == expected
+    assert thaw(frozen_product(freeze(identity(m)), ops)) == expected
+
+
+@st.composite
+def running_bases(draw, m):
+    """Frozen upper triangular matrices with a nonzero diagonal, like a
+    running basis P^r; most entries above the diagonal are zero."""
+    above = st.one_of(st.just(0), st.just(0), NONZERO)
+    return freeze([[draw(NONZERO) if j == i else draw(above) if j > i else 0
+                    for j in range(m)] for i in range(m)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7).flatmap(
+    lambda m: st.tuples(running_bases(m), ops_lists(m, upper=False))))
+def test_frozen_product_multiplies_out_on_any_base(case):
+    """base @ T for the ordered product T of the ops, sharing base's own
+    object for every row it leaves unchanged."""
+    base, ops = case
+    got = frozen_product(base, ops)
+    assert thaw(got) == mat_mul(thaw(base), ops_product(len(base), ops))
+    assert all(new is old for new, old in zip(got, base) if new == old)
+    assert (got is base) == (got == base)

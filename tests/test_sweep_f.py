@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
-                       accumulated_basis, sweep_accumulated, sweep_incremental,
-                       sweep_over_z, transition_ops)
+                       sweep_accumulated, sweep_incremental, sweep_over_z,
+                       transition_ops)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
 from connsweep.linalg import freeze, identity, thaw
 from connsweep.verify import verify_sweep
@@ -32,7 +33,7 @@ def test_incremental_cb():
     trace = sweep_incremental(FIX_CB)
     assert trace.transitions[2][2][3] == Fraction(-3, 2)
     assert final_entries(trace) == {(1, 3): 2, (2, 3): -2}
-    basis = accumulated_basis(trace)
+    basis = sweep_accumulated(FIX_CB).transitions
     sigma3_col4 = [basis[2][i][3] for i in range(4)]
     assert sigma3_col4 == [0, 0, Fraction(-3, 2), 1]
 
@@ -141,15 +142,25 @@ def test_invariant_suites(small_corpus):
                 assert ok, (trace.algorithm, name, detail)
 
 
+def test_accumulated_bases_are_products_of_incremental_transitions(small_corpus):
+    """P^r = T^0 T^1 ... T^r, multiplied out densely."""
+    for cm in small_corpus:
+        ts = [thaw(t) for t in sweep_incremental(cm).transitions]
+        bases = sweep_accumulated(cm).transitions
+        assert len(bases) == len(ts)
+        for p, product in zip(bases, accumulate(ts, mat_mul)):
+            assert thaw(p) == product
+
+
 def test_integral_unit_leading_basis_on_unit_pivot_inputs(small_corpus):
     for cm in small_corpus:
-        trace = sweep_incremental(cm)
+        trace = sweep_accumulated(cm)
         pivots = [mk.value for mk in trace.registry.marks if mk.kind == PRIMARY]
         if not all(v in (1, -1) for v in pivots):
             continue
         if any(isinstance(v, Fraction) for v in cm.entries.values()):
             continue
-        for p in accumulated_basis(trace):
+        for p in trace.transitions:
             for j in range(cm.m):
                 assert p[j][j] == 1
                 assert not any(isinstance(p[i][j], Fraction) for i in range(cm.m))

@@ -82,10 +82,15 @@ def test_marks_on_diagonal():
 
 
 def test_basis_is_accumulated_change_of_basis():
-    from connsweep import accumulated_basis
+    """P^r differs from P^{r-1} only in the columns of diagonal r's
+    change-of-basis marks."""
     trace = sweep_over_z(FIX_CB)
-    basis = accumulated_basis(trace)
-    assert basis == list(trace.transitions)
+    basis = trace.transitions
+    for r in range(1, len(basis)):
+        cols = {j for j, (a, b) in enumerate(zip(zip(*basis[r - 1]), zip(*basis[r])),
+                                             start=1) if a != b}
+        assert cols == {mk.position[1] for mk in trace.registry.on_diagonal(r)
+                        if mk.kind == CHANGE_OF_BASIS}
     # column 4 of the final basis is the minimization solution on rows 3, 4
     assert [basis[-1][i][3] for i in range(4)] == [0, 0, -3, 2]
 

@@ -16,7 +16,7 @@ from connsweep.fixtures import FIX_CB, FIX_SPHERE
 from connsweep.linalg import thaw, freeze
 from connsweep.verify import (verify_row_cancellation, verify_sweep,
                               verify_trace)
-from reference import similarity_holds
+from reference import pivot_zeroed_verdicts, similarity_holds
 
 RUNNERS = {"z": sweep_over_z, "accumulated": sweep_accumulated,
            "incremental": sweep_incremental, "rowcancel": row_cancellation,
@@ -87,12 +87,12 @@ def test_stored_non_minimal_leading_fails_kernel_check(monkeypatch):
 
 
 @st.composite
-def corrupted_traces(draw, stored=("matrices", "transitions")):
-    """A finished trace of any algorithm with one entry of one stored
-    matrix or transition changed; a block trace has it in one of its runs.
-    Returns the trace and its sweep traces keyed by their check names'
-    prefix ("" unless block)."""
-    algorithm = draw(st.sampled_from(sorted(RUNNERS)))
+def corrupted_traces(draw, stored=("matrices", "transitions"), algorithms=RUNNERS):
+    """A finished trace of one of the algorithms with one entry of one
+    stored matrix or transition changed; a block trace has it in one of its
+    runs. Returns the trace and its sweep traces keyed by their check
+    names' prefix ("" unless block)."""
+    algorithm = draw(st.sampled_from(sorted(algorithms)))
     m = draw(st.integers(3, 9))
     matrix = random_connection_matrix(RandomSpec(
         seed=draw(st.integers(0, 10**6)), m=m,
@@ -142,6 +142,17 @@ def test_any_changed_matrix_entry_fails_a_check(case):
 def test_any_changed_transition_entry_fails_a_check(case):
     trace, _ = case
     assert failing(verify_trace(trace))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_traces(stored=("matrices",), algorithms=("rowcancel",)))
+def test_pivot_zeroed_checks_match_reading_every_matrix(case):
+    """Reading a pivot's row once and then only where a step changed it
+    gives the verdicts and first failures of reading every later matrix."""
+    trace, _ = case
+    got = {name: (ok, detail) for name, ok, detail in verify_trace(trace)}
+    for name, verdict in pivot_zeroed_verdicts(trace).items():
+        assert got[name] == verdict
 
 
 @pytest.mark.parametrize("runner, position, value", [
