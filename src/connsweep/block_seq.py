@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 
 from .core import (PRIMARY, ConnectionMatrix, Mark, MarkRegistry,
                    PreconditionError, SweepTrace, frozen_transitions,
                    require_valid)
-from .linalg import cancel_ops, conjugate, freeze, refreeze
+from .linalg import cancel_ops, conjugate
 from .sweep_f import sweep_incremental
 
 
@@ -54,13 +55,16 @@ class BlockTrace:
 
     @cached_property
     def final(self):
-        final = [[0] * self.matrix.m for _ in range(self.matrix.m)]
+        m = self.matrix.m
+        final = [(0,) * m] * m
         for run in self.runs:
-            block_final = run.trace.final
+            cols = self.matrix.partition[run.k]
             for i in self.matrix.partition[run.k - 1]:
-                for j in self.matrix.partition[run.k]:
-                    final[i - 1][j - 1] = block_final[i - 1][j - 1]
-        return freeze(final)
+                row = final[i - 1] = run.trace.final[i - 1]
+                if not cols.issuperset(compress(count(1), row)):
+                    final[i - 1] = tuple(v if j in cols else 0
+                                         for j, v in enumerate(row, start=1))
+        return tuple(final)
 
     @cached_property
     def registry(self):
@@ -111,29 +115,27 @@ def revised_one_block(matrix):
     require_valid(matrix)
     _single_nonzero_block(matrix)
     m = matrix.m
-    dense = matrix.to_dense()
-    active = list(range(1, m + 1))
-    matrices = [freeze(dense)]
+    work = matrix.sparse()
+    active = set(range(m))  # 0-based
+    matrices = [work.frozen]
     op_lists = []
     marks = []
     # Pivot rows strictly descend: rows at or below a pivot row stay zero
     # over the active columns, so each scan starts just above the last one.
-    below = m + 1
+    below = m
     while True:
-        i_t = None
-        for i in range(below - 1, 0, -1):
-            if any(dense[i - 1][j - 1] for j in active):
-                i_t = i
-                break
+        i_t = next((i for i in range(below - 1, -1, -1)
+                    if not active.isdisjoint(work[i])), None)
         if i_t is None:
             break
         below = i_t
-        row = dense[i_t - 1]
-        j_t = min(j for j in active if row[j - 1])
-        marks.append(Mark((i_t, j_t), PRIMARY, j_t - i_t, row[j_t - 1]))
-        ops = cancel_ops(row, j_t, [j for j in active if j > j_t and row[j - 1]])
+        row = work[i_t]
+        j_t, *rest = sorted(active.intersection(row))
+        marks.append(Mark((i_t + 1, j_t + 1), PRIMARY, j_t - i_t, row[j_t]))
+        ops = cancel_ops(row, j_t + 1, [j + 1 for j in rest])
         op_lists.append(ops)
-        matrices.append(refreeze(matrices[-1], conjugate(dense, ops)))
+        conjugate(work, ops)
+        matrices.append(work.snapshot())
         active.remove(j_t)
     return SweepTrace("revised1", matrix, tuple(matrices),
                       frozen_transitions(m, op_lists), MarkRegistry(tuple(marks)))

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import as_exact, conjugate, freeze, frozen_product, identity, refreeze
+from .linalg import (SparseMatrix, as_exact, conjugate, freeze, frozen_product,
+                     identity)
 
 Position = tuple[int, int]
 
@@ -108,11 +109,16 @@ class ConnectionMatrix:
     def entry(self, i, j):
         return self.entries.get((i, j), 0)
 
-    def to_dense(self):
-        dense = [[0] * self.m for _ in range(self.m)]
+    def sparse(self):
+        """The matrix as a linalg.SparseMatrix, built from the entries; the
+        rows without one share one zero row. Entries must be in range."""
+        zero = (0,) * self.m
+        rows, cols = {}, [[] for _ in range(self.m)]
         for (i, j), v in self.entries.items():
-            dense[i - 1][j - 1] = v
-        return dense
+            rows.setdefault(i - 1, [0] * self.m)[j - 1] = v
+            cols[j - 1].append(i - 1)
+        return SparseMatrix(tuple(tuple(rows[i]) if i in rows else zero
+                                  for i in range(self.m)), cols)
 
     def block(self, k):
         """Rows J_{k-1}, columns J_k (both sorted) and the dense block."""
@@ -145,14 +151,15 @@ def allowable_pattern(partition, m):
 
 
 def pattern_test(partition, m):
-    """(i, j) -> whether (i, j) is in allowable_pattern(partition, m), in
-    memory linear in m: an index listed in several groups has them all."""
+    """(i, j) -> whether (i, j) is in allowable_pattern(partition, m), for
+    a ConnectionMatrix's partition, in memory linear in m: each index keeps
+    a bit mask of every group that lists it."""
     groups = {}
-    for k, part in enumerate(_freeze_partition(partition)):
+    for k, part in enumerate(partition):
         for idx in part:
-            groups[idx] = groups.get(idx, ()) + (k,)
-    return lambda i, j: 1 <= i < j <= m and any(
-        k + 1 in groups.get(j, ()) for k in groups.get(i, ()))
+            groups[idx] = groups.get(idx, 0) | 1 << k
+    return lambda i, j: (1 <= i < j <= m
+                         and groups.get(i, 0) << 1 & groups.get(j, 0) != 0)
 
 
 def max_chain_index(m):
@@ -275,25 +282,21 @@ class SweepTrace:
         return self.matrices[-1]
 
 
-def scan_diagonal(dense, m, r, primary_cols, primary_of_row):
-    """Markup rule for diagonal r, swept left to right.
+def scan_diagonal(work, rows, r, primary_cols, primary_of_row):
+    """Markup rule for diagonal r, swept left to right, over the given rows
+    (0-based) of the SparseMatrix work, which hold every nonzero on it.
 
     A nonzero entry at (j-r, j) is skipped when its column already holds a
     primary pivot; otherwise it becomes a change-of-basis pivot when its row
     holds a primary pivot, and a primary pivot else. Returns (i, j, kind)
-    triples in increasing j.
+    triples, 1-based, in increasing j.
     """
     found = []
-    for j in range(r + 1, m + 1):
-        i = j - r
-        if not dense[i - 1][j - 1]:
+    for i in sorted(rows):
+        if i + r not in work[i] or i + r + 1 in primary_cols:
             continue
-        if j in primary_cols:
-            continue
-        if i in primary_of_row:
-            found.append((i, j, CHANGE_OF_BASIS))
-        else:
-            found.append((i, j, PRIMARY))
+        kind = CHANGE_OF_BASIS if i + 1 in primary_of_row else PRIMARY
+        found.append((i + 1, i + r + 1, kind))
     return found
 
 
@@ -301,41 +304,51 @@ def sweep_diagonals(matrix, change_of_basis):
     """The diagonal sweep shared by the rational and integer sweeps and row
     cancellation; they differ only in change_of_basis.
 
-    On each diagonal r = 1..m-1 the working matrix is marked by
-    scan_diagonal; change_of_basis(dense, found, primary_of_row) then
-    returns the diagonal's ops, given the (i, j, kind) triples just found
-    and the row -> column map of every primary pivot so far, and
+    On each diagonal r = 1..m-1 the working matrix, a linalg.SparseMatrix,
+    is marked by scan_diagonal; change_of_basis(work, found, primary_of_row)
+    then returns the diagonal's ops, given the (i, j, kind) triples just
+    found and the row -> column map of every primary pivot so far, and
     linalg.conjugate applies them. Row cancellation's rule clears a pivot's
     row when it is marked, so it never meets a change-of-basis pivot.
     Returns the m+1 frozen matrices (the input, repeated for diagonal 0,
     then the matrix after each diagonal), the m op lists (none on diagonal
     0) and the MarkRegistry, each matrix sharing the rows its ops left
-    alone. The matrix must be valid; callers check that.
+    alone. The scan reads only the rows filed under its diagonal: every
+    row that had an entry there in the input or gained one in a step (and
+    may have lost it since). The matrix must be valid; callers check that.
     """
     m = matrix.m
-    dense = matrix.to_dense()
-    matrices = [freeze(dense)] * 2
+    work = matrix.sparse()
+    matrices = [work.frozen] * 2
     op_lists = [[]]
     marks = []
     primary_of_row = {}
     primary_cols = set()
+    pending = {}  # diagonal -> rows that may hold a nonzero on it
+    for i, j in matrix.entries:
+        pending.setdefault(j - i, set()).add(i - 1)
     for r in range(1, m):
-        found = scan_diagonal(dense, m, r, primary_cols, primary_of_row)
+        found = scan_diagonal(work, pending.pop(r, ()), r, primary_cols, primary_of_row)
         for i, j, kind in found:
-            marks.append(Mark((i, j), kind, r, dense[i - 1][j - 1]))
+            marks.append(Mark((i, j), kind, r, work[i - 1][j - 1]))
             if kind == PRIMARY:
                 primary_of_row[i] = j
                 primary_cols.add(j)
-        ops = change_of_basis(dense, found, primary_of_row)
+        ops = change_of_basis(work, found, primary_of_row)
         op_lists.append(ops)
-        matrices.append(refreeze(matrices[-1], conjugate(dense, ops)))
+        for i, j in conjugate(work, ops):
+            if j - i > r:
+                pending.setdefault(j - i, set()).add(i)
+        matrices.append(work.snapshot())
     return matrices, op_lists, MarkRegistry(tuple(marks))
 
 
 def frozen_transitions(m, op_lists):
     """The frozen product of each op list, all on one frozen identity."""
     units = freeze(identity(m))
-    return tuple(frozen_product(units, ops) for ops in op_lists)
+    cols = [(j,) for j in range(m)]
+    return tuple(frozen_product(SparseMatrix(units, cols), ops) if ops else units
+                 for ops in op_lists)
 
 
 def marks_on_diagonal(trace, r):

@@ -1,10 +1,11 @@
-"""Dense exact linear algebra on small matrices.
+"""Exact linear algebra on small matrices.
 
-Matrices are lists of row lists. Values are Python ints wherever possible
-and fractions.Fraction otherwise, so every operation is exact. Nothing here
-knows about chain partitions; callers slice blocks out themselves.
-Changes of basis are lists of elementary ops, applied by conjugate and
-multiplied out by frozen_product; frozen matrices share unchanged rows.
+Matrices are lists of row lists, or row tuples once frozen. Values are
+Python ints wherever possible and fractions.Fraction otherwise, so every
+operation is exact. Nothing here knows about chain partitions; callers
+slice blocks out themselves. Changes of basis are lists of elementary ops,
+applied by conjugate and multiplied out by frozen_product, both on a
+SparseMatrix whose snapshots share unchanged rows.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd
-from operator import is_not, itemgetter
 
 
 def norm(v):
@@ -20,6 +20,18 @@ def norm(v):
     if type(v) is Fraction and v.denominator == 1:
         return int(v)
     return v
+
+
+def axpy(a, c, x):
+    """norm(a + c * x), exactly; for Fractions with one gcd, not the two
+    that Fraction arithmetic takes."""
+    if type(a) is int and type(c) is int and type(x) is int:
+        return a + c * x
+    ad, cd, xd = a.denominator, c.denominator, x.denominator
+    d = ad * cd * xd
+    n = a.numerator * cd * xd + c.numerator * x.numerator * ad
+    g = gcd(n, d)
+    return n // g if g == d else Fraction(n // g, d // g)
 
 
 def as_exact(v):
@@ -54,48 +66,111 @@ def freeze(a):
     return tuple(tuple(row) for row in a)
 
 
-def refreeze(frozen, rows):
-    """frozen with rows ({0-based index: row}) frozen in, sharing every row
-    that did not change; frozen itself when none did."""
-    out = list(frozen)
-    for i, row in rows.items():
-        row = tuple(row)
-        if row != frozen[i]:
-            out[i] = row
-    return tuple(out) if any(map(is_not, out, frozen)) else frozen
-
-
 def thaw(a):
     return [list(row) for row in a]
 
 
 def solve_upper(u, b):
-    """x with u @ x == b, for u upper-triangular with nonzero diagonal."""
-    n = len(u)
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
+    """x with u @ x == b, for u upper-triangular with nonzero diagonal.
+    x is zero past b's last nonzero, so the back-substitution starts there,
+    and each row of u is read only where x is nonzero."""
+    x = [0] * len(u)
+    support = []
+    for i in range(max(compress(count(), b), default=-1), -1, -1):
         row = u[i]
         s = b[i]
-        for k in range(i + 1, n):
-            if row[k] and x[k]:
+        for k in support:
+            if row[k]:
                 s -= row[k] * x[k]
         if s:
             x[i] = exact_div(s, row[i])
+            support.append(i)
     return x
 
 
-def _add_column(rows, s, d, c):
-    """Column d += c * column s, 0-based, in place, over (index, row)
-    pairs; returns the pairs of the rows it changed."""
-    hit = [(i, row) for i, row in rows if row[s]]
-    for _, row in hit:
-        row[d] = norm(row[d] + c * row[s])
-    return hit
+class _Lazy(dict):
+    """A dict that fills in a missing key k with make(source[k])."""
+
+    def __init__(self, source, make):
+        super().__init__()
+        self.source, self.make = source, make
+
+    def __missing__(self, k):
+        value = self[k] = self.make(self.source[k])
+        return value
 
 
-def conjugate(dense, ops):
-    """dense <- T^{-1} @ dense @ T in place, for T the product of ops;
-    returns the rows it changed as {0-based index: row}.
+def _row_dict(dense):
+    return dict(zip(compress(count(), dense), filter(None, dense)))
+
+
+class SparseMatrix:
+    """A square matrix under elementary ops, kept by its nonzeros so that an
+    op costs the entries it touches: rows[i] maps column -> value and
+    cols[j] is the set of rows with a nonzero in column j (0-based). Each is
+    read when first used, from frozen, the last snapshot, and from cols0,
+    the first one's column index (found by a scan when not given)."""
+
+    def __init__(self, frozen, cols0=None):
+        if cols0 is None:
+            cols0 = [[] for _ in frozen]
+            for i, row in enumerate(frozen):
+                for j in compress(count(), row):
+                    cols0[j].append(i)
+        self.frozen, self.written = frozen, set()
+        self.rows, self.cols = _Lazy(frozen, _row_dict), _Lazy(cols0, set)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def snapshot(self):
+        """The matrix as a tuple of row tuples: a row written since the last
+        snapshot is frozen anew unless it equals the row there, every other
+        row is shared, and with no row changed the last snapshot is returned."""
+        old, out = self.frozen, None
+        for i in self.written:
+            dense = [0] * len(old)
+            for j, v in self.rows[i].items():
+                dense[j] = v
+            dense = tuple(dense)
+            if dense != old[i]:
+                out = out or list(old)
+                out[i] = dense
+        self.written = set()
+        if out is not None:
+            self.frozen = self.rows.source = tuple(out)
+        return self.frozen
+
+
+def _add(work, entries, c, created):
+    """Entry (i, j) of a SparseMatrix += c * x in place for each (i, j, x)
+    of entries; a zero is dropped, and (i, j) joins created when it turns
+    nonzero."""
+    rows, cols = work.rows, work.cols
+    for i, j, x in entries:
+        row = rows[i]
+        old = row.get(j)
+        v = axpy(old or 0, c, x)
+        if v:
+            if old is None:
+                cols[j].add(i)
+                created.append((i, j))
+            row[j] = v
+        elif old is not None:
+            del row[j]
+            cols[j].discard(i)
+        work.written.add(i)
+
+
+def _add_column(work, s, d, c, created):
+    """Column d += c * column s, 0-based: the rows with a nonzero in column
+    s change, no other."""
+    _add(work, [(i, d, work.rows[i][s]) for i in work.cols[s]], c, created)
+
+
+def conjugate(work, ops):
+    """work <- T^{-1} @ work @ T in place, for a SparseMatrix work and T the
+    product of ops; returns the positions (0-based) that turned nonzero.
 
     An op (s, d, c) is 1-based and stands for the elementary matrix
     I + c*E_{s,d}; T multiplies them in list order. Each op adds c times
@@ -105,34 +180,23 @@ def conjugate(dense, ops):
     row d from itself. Taking the ops one at a time undoes them in the
     right order even when they do not commute.
     """
-    changed = {}
+    created = []
     for s, d, c in ops:
         s -= 1
         d -= 1
-        changed.update(_add_column(enumerate(dense), s, d, c))
-        row_d = dense[d]
-        if any(row_d):
-            row_s = changed[s] = dense[s]
+        _add_column(work, s, d, c, created)
+        if work.rows[d]:
             inv = exact_div(c, 1 + c) if s == d else c
-            for k, v in enumerate(row_d):
-                if v:
-                    row_s[k] = norm(row_s[k] - inv * v)
-    return changed
+            _add(work, [(s, k, v) for k, v in work.rows[d].items()], -inv, created)
+    return created
 
 
-def frozen_product(base, ops):
-    """base @ T for a frozen base, T the product of ops: conjugate's column
-    update on each row with a nonzero in column s; the rest are base's own.
-    Column s of base is scanned once, at its first op."""
-    rows, scanned = {}, set()
+def frozen_product(work, ops):
+    """work <- work @ T in place, for a SparseMatrix work and T the product
+    of ops, by conjugate's column update; returns the new snapshot."""
     for s, d, c in ops:
-        s -= 1
-        if s not in scanned:
-            scanned.add(s)
-            rows.update((i, list(base[i])) for i in
-                        compress(count(), map(itemgetter(s), base)) if i not in rows)
-        _add_column(rows.items(), s, d - 1, c)
-    return refreeze(base, rows)
+        _add_column(work, s - 1, d - 1, c, [])
+    return work.snapshot()
 
 
 def cancel_ops(row, p, cols):

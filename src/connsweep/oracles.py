@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .core import ConnectionMatrix, PreconditionError, max_chain_index, require_valid
-from .linalg import clear_denominators, prefix_ranks
+from .linalg import clear_denominators, conjugate, prefix_ranks
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def random_connection_matrix(spec):
 
     # Canonical pairing: each index sits in at most one pair overall, so the
     # pairing matrix squares to zero.
-    dense = [[0] * spec.m for _ in range(spec.m)]
+    pairing = {}
     used = set()
     for k in range(1, spec.b + 1):
         for c in sorted(partition[k]):
@@ -89,12 +89,13 @@ def random_connection_matrix(spec):
             if not candidates:
                 continue
             q = rng.choice(candidates)
-            dense[q - 1][c - 1] = rng.choice(nonzero_values)
+            pairing[(q, c)] = rng.choice(nonzero_values)
             used.add(q)
             used.add(c)
 
     # Conjugate by elementary changes of basis within the chain groups; undo
     # any step that pushes an entry outside the allowed value set.
+    work = cm.with_entries(pairing).sparse()
     allowed = set(spec.values)
     groups = [sorted(p) for p in partition if len(p) >= 2]
     n_ops = int(round(spec.density * spec.m)) + spec.b
@@ -104,26 +105,13 @@ def random_connection_matrix(spec):
         group = groups[rng.randrange(len(groups))]
         a, c = sorted(rng.sample(group, 2))
         lam = rng.choice(nonzero_values)
-        col_changes = []
-        for i in range(spec.m):
-            v = dense[i][a - 1]
-            if v:
-                col_changes.append((i, c - 1, dense[i][c - 1]))
-                dense[i][c - 1] += lam * v
-        row_changes = []
-        for j in range(spec.m):
-            v = dense[c - 1][j]
-            if v:
-                row_changes.append((a - 1, j, dense[a - 1][j]))
-                dense[a - 1][j] -= lam * v
-        touched = [dense[i][j] for i, j, _ in col_changes + row_changes]
-        if any(v not in allowed for v in touched):
-            for i, j, old in col_changes + row_changes:
-                dense[i][j] = old
-
-    entries = {(i + 1, j + 1): v
-               for i, row in enumerate(dense) for j, v in enumerate(row) if v}
-    return cm.with_entries(entries)
+        touched = ([(i, c - 1) for i in work.cols[a - 1]]
+                   + [(a - 1, j) for j in work.rows[c - 1]])
+        conjugate(work, [(a, c, lam)])
+        if any(work.rows[i].get(j, 0) not in allowed for i, j in touched):
+            conjugate(work, [(a, c, -lam)])
+    return cm.with_entries({(i + 1, j + 1): v for i in range(spec.m)
+                            for j, v in work.rows[i].items()})
 
 
 def pivot_rank_oracle(matrix):

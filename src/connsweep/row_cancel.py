@@ -19,7 +19,6 @@ cancelled row/column pair, and the cancellation schedule read off a trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
 
 from .block_seq import block_runs
 from .core import (PRIMARY, AlgorithmError, ConnectionMatrix,
@@ -29,9 +28,9 @@ from .linalg import cancel_ops
 from .tu import SurfaceRejection, is_surface_connection_matrix
 
 
-def rc_transition_ops(delta_r, pivots):
-    """Ops zeroing everything right of the given pivots, grouped pivot by
-    pivot in increasing column order.
+def rc_transition_ops(work, pivots):
+    """Ops zeroing everything right of the given pivots in the SparseMatrix
+    work, grouped pivot by pivot in increasing column order.
 
     A pivot at (i, j) contributes one op (j, col, -delta[i][col]/delta[i][j])
     for each nonzero right of it in row i, so the product of the ops is a
@@ -41,10 +40,10 @@ def rc_transition_ops(delta_r, pivots):
     """
     ops = []
     for (i, j) in sorted(pivots, key=lambda pos: pos[1]):
-        row = delta_r[i - 1]
-        if not row[j - 1]:
+        row = work[i - 1]
+        if j - 1 not in row:
             raise AlgorithmError(f"zero entry at pivot position ({i}, {j})")
-        ops += cancel_ops(row, j, compress(count(j + 1), row[j:]))
+        ops += cancel_ops(row, j, sorted(k + 1 for k in row if k >= j))
     return ops
 
 
@@ -52,8 +51,8 @@ def row_cancellation(matrix):
     """Row Cancellation run; returns the trace of matrices and transitions."""
     require_valid(matrix)
     matrices, op_lists, registry = sweep_diagonals(
-        matrix, lambda dense, found, _: rc_transition_ops(
-            dense, [(i, j) for i, j, _ in found]))
+        matrix, lambda work, found, _: rc_transition_ops(
+            work, [(i, j) for i, j, _ in found]))
     return SweepTrace("rowcancel", matrix, tuple(matrices),
                       frozen_transitions(matrix.m, op_lists), registry)
 

@@ -12,11 +12,9 @@ per-diagonal T^r; linalg.frozen_product multiplies out both.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .core import (PRIMARY, AlgorithmError, SweepTrace, frozen_transitions,
                    require_valid, sweep_diagonals)
-from .linalg import cancel_ops, freeze, frozen_product, identity
+from .linalg import SparseMatrix, cancel_ops, freeze, frozen_product, identity
 
 
 def transition_ops(delta_r, cb_positions, primary_of_row):
@@ -42,8 +40,8 @@ def _sweep(matrix):
     """sweep_diagonals under the incremental rule (transition_ops)."""
     require_valid(matrix)
     return sweep_diagonals(
-        matrix, lambda dense, found, primary_of_row: transition_ops(
-            dense, [(i, j) for i, j, kind in found if kind != PRIMARY],
+        matrix, lambda work, found, primary_of_row: transition_ops(
+            work, [(i, j) for i, j, kind in found if kind != PRIMARY],
             primary_of_row))
 
 
@@ -63,6 +61,6 @@ def sweep_accumulated(matrix):
     -delta[i][j]/delta[i][p] at the primary column: P^{r-1} T^r, from T^r's ops.
     """
     matrices, op_lists, registry = _sweep(matrix)
-    bases = accumulate(op_lists, frozen_product, initial=freeze(identity(matrix.m)))
+    basis = SparseMatrix(freeze(identity(matrix.m)))
     return SweepTrace("accumulated", matrix, tuple(matrices),
-                      tuple(bases)[1:], registry)
+                      tuple(frozen_product(basis, ops) for ops in op_lists), registry)

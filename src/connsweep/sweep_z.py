@@ -15,7 +15,8 @@ for each pivot, y = (P^{r-1})^{-1} x by one triangular solve gives the ops
 y_j != 1, the scaling op (j, j, y_j - 1). Column j of T^r is y and y is
 zero below row j, so taking the pivots in decreasing column order
 multiplies their factors out to T^r; no solve reads a column an earlier
-one replaces. P^r is linalg.frozen_product(P^{r-1}, ops).
+one replaces. P^r is linalg.frozen_product of ops on one SparseMatrix
+holding P^{r-1}.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from math import gcd
 
 from .core import (PRIMARY, AlgorithmError, SweepTrace, require_valid,
                    sweep_diagonals)
-from .linalg import (clear_denominators, exact_div, freeze, frozen_product,
-                     identity, integer_kernel_basis, reduce_mod_lattice,
-                     solve_upper, xgcd)
+from .linalg import (SparseMatrix, clear_denominators, exact_div, freeze,
+                     frozen_product, identity, integer_kernel_basis,
+                     reduce_mod_lattice, solve_upper, xgcd)
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,10 @@ def sweep_over_z(matrix):
     """Integer sweeping; the trace's transitions are the running bases P^r."""
     require_valid(matrix)
     m = matrix.m
-    bases = [freeze(identity(m))]  # P^0, ..., P^r so far
+    basis = SparseMatrix(freeze(identity(m)))
+    bases = [basis.frozen]  # P^0, ..., P^r so far
 
-    def integer_min_ops(dense, found, primary_of_row):
+    def integer_min_ops(work, found, primary_of_row):
         ops = []
         for i, j, kind in reversed(found):
             if kind == PRIMARY:
@@ -111,7 +113,7 @@ def sweep_over_z(matrix):
                     for s, ys in enumerate(y, start=1) if ys and s != j]
             if y[j - 1] != 1:
                 ops.append((j, j, y[j - 1] - 1))
-        bases.append(frozen_product(bases[-1], ops))
+        bases.append(frozen_product(basis, ops))
         return ops
 
     matrices, _, registry = sweep_diagonals(matrix, integer_min_ops)

@@ -86,7 +86,7 @@ def sample_non_tu_witness(matrix, *, samples=500, seed=0):
             return TuCounterexample((i,), (j,), int(v))
     rng = random.Random(seed)
     m = matrix.m
-    dense = matrix.to_dense()
+    dense = matrix.sparse().frozen
     for _ in range(samples):
         k = rng.randint(2, max(2, min(m, 10)))
         rows = sorted(rng.sample(range(1, m + 1), k))

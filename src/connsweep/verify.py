@@ -11,10 +11,13 @@ change of basis.
 The product form is evaluated sparsely and exactly. With T = I + N, where
 N is read off the rows of T that differ from the identity's (rows shared
 with the T before are not read again), a link holds when Delta^{r+1} +
-N Delta^{r+1} == Delta^r + Delta^r N. Only the rows in N's row support
-change on the left and only the columns in its column support on the
-right, so a link costs one comparison of the rows two matrices do not
-share plus work proportional to the nonzeros N meets, not an m x m product.
+N Delta^{r+1} == Delta^r + Delta^r N. The sides can differ only in N's
+rows, in the rows of Delta^r that meet its row support and in the rows
+Delta^{r+1} does not share with Delta^r, so a link compares just those.
+The other checks read each matrix's fresh rows (_fresh_rows) once, and
+the below-diagonal check reads an unchanged row only at an entry that just
+fell below, so a check costs the entries the steps changed plus O(m) per
+matrix, not O(m^2).
 
 Every stored transition obeys one rule (_transition_structure): upper
 triangular within chain groups, a unit diagonal (nonzero for the integer
@@ -24,8 +27,9 @@ read from T - I, or from P^r - P^{r-1} for a running basis.
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import getitem, is_not, itemgetter, ne
+from bisect import bisect_left
+from itertools import compress, count, repeat
+from operator import is_not, itemgetter, ne
 
 from .core import CHANGE_OF_BASIS, PRIMARY, pattern_test, validate
 from .linalg import freeze, identity
@@ -55,43 +59,40 @@ def _offsets(transitions):
     prev, n = units, {}
     out = []
     for t in transitions:
-        n = dict(sorted({**{i: c for i, c in n.items() if t[i] is prev[i]},
-                         **_row_changes(t, units, _new_rows(t, prev))}.items()))
+        if t is not prev:
+            n = dict(sorted({**{i: c for i, c in n.items() if t[i] is prev[i]},
+                             **_row_changes(t, units, _new_rows(t, prev))}.items()))
         out.append(n)
         prev = t
     return out
 
 
-def _left_update(n, b):
-    """(I + N) b as a list of rows, N given by its row changes; the rows
-    outside N's row support are b's own."""
-    rows = list(b)
-    for i, entries in n.items():
-        row = list(b[i])
-        for k, c in entries:
-            bk = b[k]
-            for j in compress(count(), bk):
-                row[j] += c * bk[j]
-        rows[i] = tuple(row)
-    return rows
+def _left_row(n, b, i):
+    """Row i of (I + N) b as a list, N given by its row changes."""
+    row = list(b[i])
+    for k, c in n.get(i, ()):
+        bk = b[k]
+        for j in compress(count(), bk):
+            row[j] += c * bk[j]
+    return row
 
 
-def _right_update(base, a, d):
-    """The rows of base + a D, D given by its row changes: row i gains
-    a[i][k] * D[k] for each nonzero a[i][k], so only a's columns in D's row
-    support are read and only the columns in D's column support change."""
+def _right_rows(base, a, d):
+    """The rows of base + a D that can differ from base's, as {row: list},
+    D given by its row changes: row i gains a[i][k] * D[k] for each nonzero
+    a[i][k], so only a's columns in D's row support are read and only the
+    columns in D's column support change."""
     hits = {}
     for k in d:
         for i in compress(count(), map(itemgetter(k), a)):
             hits.setdefault(i, []).append(k)
-    rows = list(base)
+    rows = {}
     for i, ks in hits.items():
-        row = list(base[i])
+        row = rows[i] = list(base[i])
         for k in ks:
             aik = a[i][k]
             for j, c in d[k]:
                 row[j] += aik * c
-        rows[i] = tuple(row)
     return rows
 
 
@@ -110,7 +111,9 @@ def _delta0_products(trace, steps):
     product = list(delta0)
     products = []
     for step in steps:
-        product = _right_update(product, delta0, step)
+        product = list(product)
+        for i, row in _right_rows(product, delta0, step).items():
+            product[i] = tuple(row)
         products.append(product)
     return products
 
@@ -128,26 +131,37 @@ def _check(out, name, failures):
 
 
 def _fresh_rows(matrices):
-    """(r, i, row) for the rows of matrix r that differ from row i of
-    matrix r - 1, and for every row of matrix 0: the rows a step changed.
-    A check whose verdict on an entry cannot get better from one matrix to
-    the next reads only these, since a violation in a row left as it was
-    is reported at the matrix before, which comes first."""
+    """For each matrix r, {i: nonzero columns} (0-based, ascending) over
+    the rows that differ from row i of matrix r - 1, and over every row of
+    matrix 0: the rows a step changed. A check whose verdict on an entry
+    cannot get better from one matrix to the next reads only these, since a
+    violation in a row left as it was is reported at the matrix before,
+    which comes first. Also returns the last matrix's nonzero columns."""
+    out = []
     prev = (None,) * len(matrices[0]) if matrices else ()
-    for r, dense in enumerate(matrices):
-        yield from ((r, i + 1, dense[i]) for i in _new_rows(dense, prev)
-                    if dense[i] != prev[i])
+    last = [()] * len(prev)
+    cols_of = {}  # id(row) -> its nonzero columns; the rows outlive this call
+    for dense in matrices:
+        rows = {}
+        if dense is not prev:
+            for i in _new_rows(dense, prev):
+                row = dense[i]
+                if row != prev[i]:
+                    cols = cols_of.get(id(row))
+                    if cols is None:
+                        cols = cols_of[id(row)] = tuple(compress(count(), row))
+                    rows[i] = last[i] = cols
+        out.append(rows)
         prev = dense
+    return out, last
 
 
 def _pattern_compliance(out, name, fresh, allowed):
-    """fresh: the (r, i, row) triples of _fresh_rows; allowed: a pattern_test."""
-    bad = []
-    for r, i, row in fresh:
-        for j in compress(count(1), row):
-            if not allowed(i, j):
-                bad.append(f"matrix {r} has a nonzero at {(i, j)} outside the pattern")
-    _check(out, name, bad)
+    """fresh: as _fresh_rows gives it; allowed: a pattern_test."""
+    _check(out, name, [f"matrix {r} has a nonzero at {(i + 1, j + 1)} outside "
+                       "the pattern" for r, rows in enumerate(fresh)
+                       for i, cols in rows.items() for j in cols
+                       if not allowed(i + 1, j + 1)])
 
 
 def _above_pivot(pivot_row_of_col, i, j):
@@ -155,10 +169,9 @@ def _above_pivot(pivot_row_of_col, i, j):
     return pivot_row_of_col.get(j, 0) >= i
 
 
-def _pivot_rows(marks, before=None):
-    """Column -> row of each primary pivot (marked before diagonal `before`)."""
-    return {mk.position[1]: mk.position[0] for mk in marks if mk.kind == PRIMARY
-            and (before is None or mk.diagonal < before)}
+def _pivot_rows(marks):
+    """Column -> row of each primary pivot."""
+    return {mk.position[1]: mk.position[0] for mk in marks if mk.kind == PRIMARY}
 
 
 def _below_diagonal_structure(out, matrices, fresh, marks):
@@ -169,27 +182,41 @@ def _below_diagonal_structure(out, matrices, fresh, marks):
     Pivots only join, and a pivot that joins at r sits on diagonal r - 1,
     above every entry already below it. So a row left as it was holds no
     new violation but at its entry on diagonal r - 1, which just fell
-    below; the fresh rows (_fresh_rows) are read in full."""
+    below, and a pivot entry can only turn zero where its row changed. The
+    pivot map grows once. A fresh row is read up to the diagonal, and its
+    next entry is filed under the matrix where it falls below; there, if
+    the row is still the one read, that entry is read and the next one
+    filed. A pivot is read where it joins and where its row is fresh."""
+    joins = {}
+    for n, mk in enumerate(marks):
+        if mk.kind == PRIMARY:
+            joins.setdefault(max(mk.diagonal + 1, 0), []).append((n, mk.position))
+    pivot_row_of_col, pivots_of_row = {}, {}
+    due, read_at = {}, {}  # due: matrix -> (row, matrix read at, column's place)
     bad = []
-    changed = {}
-    for r, i, row in fresh:
-        changed.setdefault(r, set()).add(i)
-    for r, dense in enumerate(matrices):
-        pivot_row_of_col = _pivot_rows(marks, before=r)
-        rows = changed.get(r, set())
-        # the rows i with a nonzero on diagonal r - 1, at column i + r - 1
-        on_diagonal = (compress(count(1), map(getitem, dense, range(r - 1, len(dense))))
-                       if r else ())
-        for i in sorted(rows.union(on_diagonal)):
-            row = dense[i - 1]
-            cols = compress(count(1), row) if i in rows else (i + r - 1,)
-            for j in cols:
-                if j - i < r and not _above_pivot(pivot_row_of_col, i, j):
-                    bad.append(f"matrix {r}: nonzero at {(i, j)} below diagonal {r} "
-                               "is neither a primary pivot nor above one")
-        for j, i in pivot_row_of_col.items():
-            if not dense[i - 1][j - 1]:
-                bad.append(f"matrix {r}: primary pivot at {(i, j)} became zero")
+    for r, (dense, rows) in enumerate(zip(matrices, fresh)):
+        joined, late = joins.get(r, ()), due.pop(r, ())
+        if not (rows or joined or late):
+            continue
+        for n, (i, j) in joined:
+            pivot_row_of_col[j] = i
+            pivots_of_row.setdefault(i - 1, []).append((n, (i, j)))
+        read_at.update(dict.fromkeys(rows, r))
+        entries = []
+        for i, s, p in [*((i, r, 0) for i in rows), *late]:
+            if read_at[i] == s:
+                cols = fresh[s][i]
+                q = bisect_left(cols, i + r, p)
+                entries.extend(zip(repeat(i), cols[p:q]))
+                if q < len(cols):
+                    due.setdefault(cols[q] - i + 1, []).append((i, s, q))
+        bad.extend(f"matrix {r}: nonzero at {(i + 1, j + 1)} below diagonal {r} "
+                   "is neither a primary pivot nor above one"
+                   for i, j in sorted(entries)
+                   if not _above_pivot(pivot_row_of_col, i + 1, j + 1))
+        pivots = {*joined, *(p for i in rows for p in pivots_of_row.get(i, ()))}
+        bad.extend(f"matrix {r}: primary pivot at {(i, j)} became zero"
+                   for _, (i, j) in sorted(pivots) if not dense[i - 1][j - 1])
     _check(out, "below_diagonal_pivot_structure", bad)
 
 
@@ -231,36 +258,44 @@ def _similarity(out, trace, offsets, products=None):
     mats = trace.matrices
     if products is not None:
         for r in range(1, len(mats)):
-            if _left_update(offsets[r - 1], mats[r]) != products[r - 1]:
+            n, left = offsets[r - 1], list(mats[r])  # (I + N) Delta^r
+            for i in n:
+                left[i] = tuple(_left_row(n, mats[r], i))
+            if left != products[r - 1]:
                 bad.append(f"P^{r - 1} Delta^{r} != Delta^0 P^{r - 1}")
     else:
         for r in range(len(mats) - 1):
-            n = offsets[r]
-            if _left_update(n, mats[r + 1]) != _right_update(mats[r], mats[r], n):
+            n, a, b = offsets[r], mats[r], mats[r + 1]
+            if not n and b is a:
+                continue
+            right = _right_rows(a, a, n)
+            if any(_left_row(n, b, i) != (right[i] if i in right else list(a[i]))
+                   for i in {*n, *right, *(() if b is a else _new_rows(b, a))}):
                 bad.append(f"T^{r} Delta^{r + 1} != Delta^{r} T^{r}")
     _check(out, "similarity", bad)
 
 
-def _final_zero_pattern(out, final, marks):
-    """Every nonzero of the final matrix is a primary pivot or above one."""
+def _final_zero_pattern(out, final, nonzeros, marks):
+    """Every nonzero of the final matrix (nonzeros: the columns of each
+    row's) is a primary pivot or above one."""
     bad = []
     pivot_row_of_col = _pivot_rows(marks)
-    for i, row in enumerate(final, start=1):
-        bad.extend(f"final matrix: nonzero at {(i, j)} not above a primary pivot"
-                   for j in compress(count(1), row)
-                   if not _above_pivot(pivot_row_of_col, i, j))
+    for i, cols in enumerate(nonzeros, start=1):
+        bad.extend(f"final matrix: nonzero at {(i, j + 1)} not above a primary pivot"
+                   for j in cols if not _above_pivot(pivot_row_of_col, i, j + 1))
     for j, i in pivot_row_of_col.items():
         if not final[i - 1][j - 1]:
             bad.append(f"final matrix: primary pivot {(i, j)} is zero")
     _check(out, "final_zero_pattern", bad)
 
 
-def _final_complementarity(out, final):
-    bad = []
-    for j, (col, row) in enumerate(zip(zip(*final), final), start=1):
-        if any(col) and any(row):
-            bad.append(f"final matrix: column {j} and row {j} are both nonzero")
-    _check(out, "final_complementarity", bad)
+def _final_complementarity(out, nonzeros):
+    """No index is both a nonzero row and a nonzero column of the final
+    matrix, given the columns of each row's nonzeros."""
+    both = {i for i, cols in enumerate(nonzeros) if cols} & set().union(*nonzeros)
+    _check(out, "final_complementarity",
+           [f"final matrix: column {j + 1} and row {j + 1} are both nonzero"
+            for j in sorted(both)])
 
 
 def _kernel_minimality(out, trace, bound=8):
@@ -269,9 +304,10 @@ def _kernel_minimality(out, trace, bound=8):
     j; its kernel problem is rebuilt from the input on those columns and the
     rows of the group below from i down. Box enumeration bounds the true
     minimum from above (an optimal witness may stick out of the box), so
-    equality is only demanded when the stored combination fits inside it."""
+    equality is only demanded when the stored combination fits inside it.
+    A problem whose box is past ILP_MAX_BOX is skipped, and counted."""
     bad = []
-    checked = 0
+    checked = skipped = 0
     matrix = trace.matrix
     for mk in trace.registry.marks:
         if mk.kind != CHANGE_OF_BASIS:
@@ -280,6 +316,7 @@ def _kernel_minimality(out, trace, bound=8):
         k = matrix.chain_index(j)
         cols = sorted(col for col in matrix.partition[k] if col <= j)
         if not ilp_box_fits(len(cols), bound):
+            skipped += 1
             continue
         a = [[matrix.entry(row, col) for col in cols]
              for row in sorted(matrix.partition[k - 1]) if row >= i]
@@ -294,8 +331,9 @@ def _kernel_minimality(out, trace, bound=8):
         elif max(abs(v) for v in got) <= bound and got[-1] != witness.min_leading:
             bad.append(f"kernel problem: leading {got[-1]} but the box "
                        f"enumeration reaches {witness.min_leading}")
-    out.append(("kernel_leading_minimality",
-                not bad, bad[0] if bad else f"{checked} instances cross-checked"))
+    out.append(("kernel_leading_minimality", not bad, bad[0] if bad else
+                f"{checked} instances cross-checked, {skipped} skipped "
+                f"(box past ILP_MAX_BOX)"))
 
 
 def verify_sweep(trace):
@@ -303,7 +341,7 @@ def verify_sweep(trace):
     out = []
     _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
     allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
-    fresh = list(_fresh_rows(trace.matrices))
+    fresh, nonzeros = _fresh_rows(trace.matrices)
     _pattern_compliance(out, "pattern_compliance", fresh, allowed)
     offsets = _offsets(trace.transitions)
     changes, products = offsets, None
@@ -312,7 +350,7 @@ def verify_sweep(trace):
         changes = _basis_steps(trace.transitions)
         products = _delta0_products(trace, changes)
         _pattern_compliance(out, "pattern_compliance_product",
-                            _fresh_rows(products), allowed)
+                            _fresh_rows(products)[0], allowed)
     marks = trace.registry.marks
     _below_diagonal_structure(out, trace.matrices, fresh, marks)
     # Mark (i, j) may change column j of P^r, but of T^r only (p, j), (i, p) a pivot.
@@ -324,8 +362,8 @@ def verify_sweep(trace):
          for mk in marks if mk.kind == CHANGE_OF_BASIS],
         unit_diagonal=trace.algorithm != "z")
     _similarity(out, trace, offsets, products)
-    _final_zero_pattern(out, trace.final, marks)
-    _final_complementarity(out, trace.final)
+    _final_zero_pattern(out, trace.final, nonzeros, marks)
+    _final_complementarity(out, nonzeros)
     if trace.algorithm == "z":
         _kernel_minimality(out, trace)
     return out
@@ -334,13 +372,14 @@ def verify_sweep(trace):
 def _first_nonzero_after(mats, changed_rows, r, i, lo=0):
     """The first matrix s > r whose row i has a nonzero past column lo, or
     None. Only matrix r + 1 is read; after it the row can turn nonzero only
-    in a matrix whose step changed it, its (s, row) in changed_rows[i]."""
+    in a matrix whose step changed it, its (s, nonzero columns) in
+    changed_rows[i]."""
     if r + 1 >= len(mats):
         return None
     if any(mats[r + 1][i - 1][lo:]):
         return r + 1
-    return next((s for s, row in changed_rows.get(i, ())
-                 if s > r + 1 and any(row[lo:])), None)
+    return next((s for s, cols in changed_rows.get(i, ())
+                 if s > r + 1 and cols and cols[-1] >= lo), None)
 
 
 def verify_row_cancellation(trace):
@@ -348,7 +387,7 @@ def verify_row_cancellation(trace):
     out = []
     _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
     allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
-    fresh = list(_fresh_rows(trace.matrices))
+    fresh, nonzeros = _fresh_rows(trace.matrices)
     _pattern_compliance(out, "pattern_compliance", fresh, allowed)
     marks = trace.registry.marks
     mats = trace.matrices
@@ -363,8 +402,9 @@ def verify_row_cancellation(trace):
     _check(out, "pivot_row_column_exclusion", bad)
 
     changed_rows = {}
-    for r, i, row in fresh:
-        changed_rows.setdefault(i, []).append((r, row))
+    for r, rows in enumerate(fresh):
+        for i, cols in rows.items():
+            changed_rows.setdefault(i + 1, []).append((r, cols))
     row_bad, right_bad = [], []
     for mk in marks:
         i, j = mk.position
@@ -389,8 +429,8 @@ def verify_row_cancellation(trace):
     _transition_structure(out, trace, offsets,
                           [(mk.diagonal, (mk.position[1], None)) for mk in marks])
     _similarity(out, trace, offsets)
-    _final_zero_pattern(out, trace.final, marks)
-    _final_complementarity(out, trace.final)
+    _final_zero_pattern(out, trace.final, nonzeros, marks)
+    _final_complementarity(out, nonzeros)
     return out
 
 
@@ -450,7 +490,8 @@ def verify_revised(trace):
     _transition_structure(out, trace, offsets,
                           [(t, (mk.position[1], None)) for t, mk in enumerate(marks)])
     _similarity(out, trace, offsets)
-    _final_zero_pattern(out, trace.final, marks)
+    _final_zero_pattern(out, trace.final,
+                        [tuple(compress(count(), row)) for row in trace.final], marks)
     return out
 
 

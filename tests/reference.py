@@ -2,8 +2,13 @@
 
 from itertools import compress, count
 
-from connsweep import CHANGE_OF_BASIS, KernelProblem
-from connsweep.linalg import identity, norm, solve_upper, thaw
+from connsweep import CHANGE_OF_BASIS, PRIMARY, KernelProblem, allowable_pattern
+from connsweep.linalg import exact_div, identity, norm, solve_upper, thaw
+
+
+def dense_of(cm):
+    """The entries of a ConnectionMatrix as m x m row lists."""
+    return [[cm.entry(i, j) for j in range(1, cm.m + 1)] for i in range(1, cm.m + 1)]
 
 
 def invert_upper(u):
@@ -13,6 +18,22 @@ def invert_upper(u):
         raise ValueError("zero diagonal entry in triangular inverse")
     cols = [solve_upper(u, [int(i == c) for i in range(n)]) for c in range(n)]
     return [list(row) for row in zip(*cols)]
+
+
+def solve_upper_dense(u, b):
+    """x with u @ x == b for u upper triangular, back-substituting over
+    every row and reading each row of u in full."""
+    n = len(u)
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = u[i]
+        s = b[i]
+        for k in range(i + 1, n):
+            if row[k] and x[k]:
+                s -= row[k] * x[k]
+        if s:
+            x[i] = exact_div(s, row[i])
+    return x
 
 
 def ops_product(m, ops):
@@ -81,6 +102,65 @@ def similarity_holds(trace):
                    for r in range(1, len(mats)))
     return all(mat_eq(mat_mul(ts[r], mats[r + 1]), mat_mul(mats[r], ts[r]))
                for r in range(len(mats) - 1))
+
+
+def _nonzeros(dense):
+    return [(i, j) for i, row in enumerate(dense, start=1)
+            for j, v in enumerate(row, start=1) if v]
+
+
+def _verdict(bad):
+    return (not bad, bad[0] if bad else "")
+
+
+def dense_check_verdicts(trace):
+    """{check name: (ok, first failure)} for the pattern, below-diagonal
+    and final-matrix checks of a sweep trace, every matrix read in full:
+    the pattern is allowable_pattern's set, each diagonal's pivot map is
+    rebuilt from the marks, and the final matrix is transposed."""
+    m = trace.matrix.m
+    mats = trace.matrices
+    marks = trace.registry.marks
+    allowed = allowable_pattern(trace.matrix.partition, m)
+    out = {}
+
+    def pattern(seq):
+        return _verdict([f"matrix {r} has a nonzero at {pos} outside the pattern"
+                         for r, dense in enumerate(seq) for pos in _nonzeros(dense)
+                         if pos not in allowed])
+
+    def pivots(before=None):
+        return {mk.position[1]: mk.position[0] for mk in marks if mk.kind == PRIMARY
+                and (before is None or mk.diagonal < before)}
+
+    if trace.algorithm != "revised1":
+        out["pattern_compliance"] = pattern(mats)
+        if trace.algorithm in ("z", "accumulated"):
+            out["pattern_compliance_product"] = pattern(
+                [mat_mul(thaw(mats[0]), thaw(p)) for p in trace.transitions])
+        bad = []
+        for r, dense in enumerate(mats):
+            pivot_row_of_col = pivots(r)
+            bad.extend(f"matrix {r}: nonzero at {(i, j)} below diagonal {r} "
+                       "is neither a primary pivot nor above one"
+                       for i, j in _nonzeros(dense)
+                       if j - i < r and pivot_row_of_col.get(j, 0) < i)
+            bad.extend(f"matrix {r}: primary pivot at {(i, j)} became zero"
+                       for j, i in pivot_row_of_col.items() if not dense[i - 1][j - 1])
+        out["below_diagonal_pivot_structure"] = _verdict(bad)
+    final = trace.final
+    pivot_row_of_col = pivots()
+    bad = [f"final matrix: nonzero at {(i, j)} not above a primary pivot"
+           for i, j in _nonzeros(final) if pivot_row_of_col.get(j, 0) < i]
+    bad.extend(f"final matrix: primary pivot {(i, j)} is zero"
+               for j, i in pivot_row_of_col.items() if not final[i - 1][j - 1])
+    out["final_zero_pattern"] = _verdict(bad)
+    if trace.algorithm != "revised1":
+        out["final_complementarity"] = _verdict(
+            [f"final matrix: column {j} and row {j} are both nonzero"
+             for j, (col, row) in enumerate(zip(zip(*final), final), start=1)
+             if any(col) and any(row)])
+    return out
 
 
 def pivot_zeroed_verdicts(trace):

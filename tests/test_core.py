@@ -7,8 +7,7 @@ from connsweep import (ConnectionMatrix, allowable_pattern, validate)
 from connsweep.core import pattern_test
 from connsweep.fixtures import (FIX_CB, FIX_FIG3L, FIX_FIG3R, FIX_SPHERE,
                                 FIX_TUCB, FIX_ZERO)
-from connsweep.linalg import thaw
-from reference import mat_mul
+from reference import dense_of, mat_mul
 
 
 def test_fixtures_are_valid():
@@ -98,7 +97,7 @@ def test_nilpotency_power(small_corpus):
     for cm in small_corpus:
         if cm.m > 12:
             continue
-        dense = thaw(cm.to_dense())
+        dense = dense_of(cm)
         power = dense
         for _ in range(cm.m - 1):
             power = mat_mul(power, dense)

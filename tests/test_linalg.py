@@ -5,7 +5,7 @@ from functools import reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connsweep.linalg import (bareiss_det, clear_denominators, conjugate,
+from connsweep.linalg import (SparseMatrix, bareiss_det, clear_denominators, conjugate,
                               exact_div, freeze, frozen_product, identity,
                               integer_kernel_basis, norm, rank,
                               reduce_mod_lattice, thaw, xgcd)
@@ -147,9 +147,9 @@ def test_conjugate_is_similarity_by_ops_product(case):
     m, dense, ops = case
     t = ops_product(m, ops)
     expected = mat_mul(mat_mul(invert_upper(t), dense), t)
-    work = [row[:] for row in dense]
+    work = SparseMatrix(freeze(dense))
     conjugate(work, ops)
-    assert work == expected
+    assert thaw(work.snapshot()) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,7 +159,7 @@ def test_ops_product_is_ordered_product(case):
     m, ops = case
     expected = reduce(mat_mul, [one_op(m, *op) for op in ops], identity(m))
     assert ops_product(m, ops) == expected
-    assert thaw(frozen_product(freeze(identity(m)), ops)) == expected
+    assert thaw(frozen_product(SparseMatrix(freeze(identity(m))), ops)) == expected
 
 
 @st.composite
@@ -178,7 +178,7 @@ def test_frozen_product_multiplies_out_on_any_base(case):
     """base @ T for the ordered product T of the ops, sharing base's own
     object for every row it leaves unchanged."""
     base, ops = case
-    got = frozen_product(base, ops)
+    got = frozen_product(SparseMatrix(base), ops)
     assert thaw(got) == mat_mul(thaw(base), ops_product(len(base), ops))
     assert all(new is old for new, old in zip(got, base) if new == old)
     assert (got is base) == (got == base)

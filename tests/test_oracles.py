@@ -5,8 +5,7 @@ from connsweep import (KernelProblem, RandomSpec, allowable_pattern,
                        random_connection_matrix, row_cancellation,
                        sweep_incremental, sweep_over_z, validate)
 from connsweep.fixtures import FIX_CB, FIX_FIG3L, FIX_SPHERE, FIX_ZERO
-from connsweep.linalg import thaw
-from reference import mat_mul
+from reference import dense_of, mat_mul
 
 
 def test_rank_oracle_fixtures():
@@ -60,7 +59,7 @@ def test_generator_deterministic():
 def test_generator_outputs_validate_and_square_to_zero(small_corpus):
     for cm in small_corpus:
         assert validate(cm) == []
-        dense = thaw(cm.to_dense())
+        dense = dense_of(cm)
         assert not any(v for row in mat_mul(dense, dense) for v in row)
         for v in cm.entries.values():
             assert -3 <= v <= 3 and v

@@ -12,9 +12,9 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        smale_cancellation_sweep, sweep_incremental,
                        betti_over_q)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.linalg import freeze, identity, thaw
+from connsweep.linalg import SparseMatrix, freeze, identity, thaw
 from connsweep.verify import verify_block_runs, verify_row_cancellation
-from reference import is_identity, mat_mul, ops_product
+from reference import dense_of, is_identity, mat_mul, ops_product
 
 
 def pivots_of(trace):
@@ -48,7 +48,7 @@ def test_zero():
 
 
 def test_rc_transition_identity_cases():
-    delta = freeze([[0, 1], [0, 0]])
+    delta = SparseMatrix(freeze([[0, 1], [0, 0]]))
     assert rc_transition_ops(delta, []) == []
     assert rc_transition_ops(delta, [(1, 2)]) == []  # nothing right of it
     assert is_identity(ops_product(2, []))
@@ -56,7 +56,7 @@ def test_rc_transition_identity_cases():
 
 def test_rc_transition_cb():
     trace = row_cancellation(FIX_CB)
-    ops = rc_transition_ops(trace.matrices[1], [(2, 3)])
+    ops = rc_transition_ops(SparseMatrix(trace.matrices[1]), [(2, 3)])
     expected = identity(4)
     expected[2][3] = Fraction(-3, 2)
     assert ops_product(4, ops) == expected
@@ -65,7 +65,7 @@ def test_rc_transition_cb():
 
 
 def test_rc_transition_zero_pivot_is_bug_signal():
-    delta = freeze([[0, 0], [0, 0]])
+    delta = SparseMatrix(freeze([[0, 0], [0, 0]]))
     with pytest.raises(AlgorithmError):
         rc_transition_ops(delta, [(1, 2)])
 
@@ -75,8 +75,8 @@ def test_rc_transition_uniqueness_two_pivots():
     # unique solution of the defining linear systems
     cm = ConnectionMatrix(
         6, [{1, 2}, {3, 4}, {5, 6}], {(1, 3): 2, (1, 4): 3, (3, 5): 1, (3, 6): 4})
-    delta = freeze(cm.to_dense())
-    ops = rc_transition_ops(delta, [(3, 5), (1, 3)])
+    delta = freeze(dense_of(cm))
+    ops = rc_transition_ops(SparseMatrix(delta), [(3, 5), (1, 3)])
     # grouped pivot by pivot in increasing column order
     assert [s for (s, _, _) in ops] == sorted(s for (s, _, _) in ops)
     t = ops_product(6, ops)

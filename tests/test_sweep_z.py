@@ -1,13 +1,15 @@
 import pytest
 
+from fractions import Fraction
+
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        InvalidMatrixError, KernelProblem, ConnectionMatrix,
-                       marks_on_diagonal, solve_min_leading, sweep_over_z)
+                       marks_on_diagonal, solve_min_leading, sweep_over_z, sweep_z)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_ZERO
 from connsweep.linalg import thaw
 from connsweep.oracles import ilp_brute_force
 from connsweep.verify import verify_sweep
-from reference import is_identity, kernel_problems, mat_mul
+from reference import is_identity, kernel_problems, mat_mul, solve_upper_dense
 
 
 def marks_of(trace):
@@ -122,3 +124,38 @@ def test_similarity_exact(small_corpus):
         for r in range(1, len(trace.matrices)):
             p = thaw(trace.transitions[r - 1])
             assert mat_mul(p, thaw(trace.matrices[r])) == mat_mul(delta0, p)
+
+
+def test_solve_upper_matches_dense_back_substitution(small_corpus, monkeypatch):
+    """Each solve against P^{r-1} starts at x's last nonzero and reads only
+    where the solution is nonzero, yet equals the back-substitution over
+    every row, int and Fraction types included."""
+    calls = []
+    solve = sweep_z.solve_upper
+
+    def recording(u, b):
+        x = solve(u, b)
+        calls.append((u, b, x))
+        return x
+
+    monkeypatch.setattr(sweep_z, "solve_upper", recording)
+    for cm in small_corpus + [TWO_CB_ONE_GROUP]:
+        sweep_over_z(cm)
+    assert any(isinstance(v, Fraction) for _, _, x in calls for v in x)
+    for u, b, x in calls:
+        expected = solve_upper_dense(u, b)
+        assert x == expected
+        assert list(map(type, x)) == list(map(type, expected))
+
+
+def test_kernel_minimality_counts_the_problems_it_skips():
+    """(1, 5) gives a kernel problem on columns 3..5, cross-checked by box
+    enumeration; (2, 9) one on columns 3..9, c = 7, whose box is past
+    ILP_MAX_BOX, so it is skipped, and the detail says so."""
+    cm = ConnectionMatrix(10, [{1, 2}, set(range(3, 11))],
+                          {(1, 4): 1, (1, 5): 2, (2, 3): 1, (2, 9): 1})
+    trace = sweep_over_z(cm)
+    assert sorted(p.c for p in kernel_problems(trace)) == [3, 7]
+    checks = {name: (ok, detail) for name, ok, detail in verify_sweep(trace)}
+    assert checks["kernel_leading_minimality"] == (
+        True, "1 instances cross-checked, 1 skipped (box past ILP_MAX_BOX)")

@@ -9,9 +9,9 @@ from connsweep import (ConnectionMatrix, PreconditionError, SizeGuardError,
                        is_totally_unimodular, sample_non_tu_witness,
                        sweep_incremental, validate)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.linalg import bareiss_det, thaw
+from connsweep.linalg import bareiss_det
 from connsweep.tu import _dense_is_tu
-from reference import mat_mul
+from reference import dense_of, mat_mul
 
 
 def naive_dense_tu(rows):
@@ -50,7 +50,7 @@ def test_matches_whole_matrix_scan(small_corpus):
             mine = is_totally_unimodular(cm)
         except SizeGuardError:
             continue
-        assert mine == naive_dense_tu(thaw(cm.to_dense()))
+        assert mine == naive_dense_tu(dense_of(cm))
         checked += 1
     assert checked >= 5
 
@@ -188,7 +188,7 @@ def test_generator_outputs_validate_and_are_tu():
                                      flips=rng.randint(0, 4))
         assert validate(cm) == []
         assert isinstance(is_surface_connection_matrix(cm), SurfaceProfile)
-        dense = thaw(cm.to_dense())
+        dense = dense_of(cm)
         assert not any(v for row in mat_mul(dense, dense) for v in row)
         if cm.m <= 16:
             assert is_totally_unimodular(cm)

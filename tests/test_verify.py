@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connsweep import (RandomSpec, block_sequential_sweep,
+from connsweep import (ConnectionMatrix, RandomSpec, block_sequential_sweep,
                        random_connection_matrix, revised_one_block,
                        row_cancellation, sweep_accumulated, sweep_incremental,
                        sweep_over_z, sweep_z)
@@ -16,7 +16,8 @@ from connsweep.fixtures import FIX_CB, FIX_SPHERE
 from connsweep.linalg import thaw, freeze
 from connsweep.verify import (verify_row_cancellation, verify_sweep,
                               verify_trace)
-from reference import pivot_zeroed_verdicts, similarity_holds
+from reference import (dense_check_verdicts, pivot_zeroed_verdicts,
+                       similarity_holds)
 
 RUNNERS = {"z": sweep_over_z, "accumulated": sweep_accumulated,
            "incremental": sweep_incremental, "rowcancel": row_cancellation,
@@ -87,11 +88,15 @@ def test_stored_non_minimal_leading_fails_kernel_check(monkeypatch):
 
 
 @st.composite
-def corrupted_traces(draw, stored=("matrices", "transitions"), algorithms=RUNNERS):
+def corrupted_traces(draw, stored=("matrices", "transitions"), algorithms=RUNNERS,
+                     change="add"):
     """A finished trace of one of the algorithms with one entry of one
     stored matrix or transition changed; a block trace has it in one of its
-    runs. Returns the trace and its sweep traces keyed by their check
-    names' prefix ("" unless block)."""
+    runs. change "add" adds a small value to any entry, "carry" adds it in
+    every later matrix that keeps the row too, "zero" zeroes a nonzero
+    entry (if there is one), None leaves the trace as it was run.
+    Returns the trace and its sweep traces keyed by their check names'
+    prefix ("" unless block)."""
     algorithm = draw(st.sampled_from(sorted(algorithms)))
     m = draw(st.integers(3, 9))
     matrix = random_connection_matrix(RandomSpec(
@@ -108,11 +113,24 @@ def corrupted_traces(draw, stored=("matrices", "transitions"), algorithms=RUNNER
     if not seq:  # a revised run on a zero matrix has no transitions
         field, seq = "matrices", list(target.matrices)
     k = draw(st.integers(0, len(seq) - 1))
-    i, j = draw(st.integers(1, m)), draw(st.integers(1, m))
     changed = thaw(seq[k])
-    changed[i - 1][j - 1] += draw(st.sampled_from(
-        (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))))
-    seq[k] = freeze(changed)
+    if change in ("add", "carry"):
+        i, j = draw(st.integers(1, m)), draw(st.integers(1, m))
+        changed[i - 1][j - 1] += draw(st.sampled_from(
+            (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))))
+    nonzeros = [(i, j) for i, row in enumerate(changed)
+                for j, v in enumerate(row) if v]
+    if change == "zero" and nonzeros:
+        i, j = draw(st.sampled_from(nonzeros))
+        changed[i][j] = 0
+    if change == "carry":
+        row, new_row = seq[k][i - 1], tuple(changed[i - 1])
+        for t in range(k, len(seq)):
+            if seq[t][i - 1] is not row:
+                break
+            seq[t] = seq[t][:i - 1] + (new_row,) + seq[t][i:]
+    else:
+        seq[k] = freeze(changed)
     target = dataclasses.replace(target, **{field: tuple(seq)})
     if not runs:
         return target, {"": target}
@@ -153,6 +171,37 @@ def test_pivot_zeroed_checks_match_reading_every_matrix(case):
     got = {name: (ok, detail) for name, ok, detail in verify_trace(trace)}
     for name, verdict in pivot_zeroed_verdicts(trace).items():
         assert got[name] == verdict
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(corrupted_traces(change=None), corrupted_traces(),
+                 corrupted_traces(stored=("matrices",), change="carry"),
+                 corrupted_traces(stored=("matrices",), change="zero")))
+def test_sparse_checks_match_reading_every_matrix(case):
+    """The pattern, below-diagonal and final-matrix checks read only the
+    rows each step changed (and each pivot only where it joins or its row
+    changes), yet give the verdicts and first failures of reading every
+    matrix in full."""
+    trace, sweeps = case
+    got = {name: (ok, detail) for name, ok, detail in verify_trace(trace)}
+    for prefix, sweep in sweeps.items():
+        for name, verdict in dense_check_verdicts(sweep).items():
+            assert got[prefix + name] == verdict, prefix + name
+
+
+def test_unchanged_row_is_read_at_each_entry_that_falls_below():
+    """Row 1 holds a stray (1, 4) in every matrix. The row never changes,
+    so the check reads it entry by entry as each falls below the diagonal:
+    (1, 3) sits on a pivot, (1, 4) falls below at matrix 4 above none."""
+    trace = sweep_incremental(ConnectionMatrix(4, [{1, 2}, {3, 4}], {(1, 3): 1}))
+    row = (0, 0, 1, 1)
+    bad = dataclasses.replace(trace, matrices=tuple(
+        (row,) + mat[1:] for mat in trace.matrices))
+    verdict = (False, "matrix 4: nonzero at (1, 4) below diagonal 4 is neither "
+                      "a primary pivot nor above one")
+    assert dense_check_verdicts(bad)["below_diagonal_pivot_structure"] == verdict
+    got = {name: (ok, detail) for name, ok, detail in verify_sweep(bad)}
+    assert got["below_diagonal_pivot_structure"] == verdict
 
 
 @pytest.mark.parametrize("runner, position, value", [
