@@ -13,13 +13,13 @@ import os
 import sys
 from fractions import Fraction
 from itertools import chain, compress, count
-from operator import is_not
 
 from . import verify as verify_mod
 from .block_seq import block_sequential_sweep, revised_one_block
 from .cmx import parse_cmx, serialize_cmx
 from .core import (PRIMARY, CmxError, ConnSweepError, InvalidMatrixError,
                    PreconditionError)
+from .linalg import changed_rows
 from .oracles import RandomSpec, ilp_brute_force, pivot_rank_oracle, \
     random_connection_matrix
 from .row_cancel import (cancellation_schedule, reduce_complex,
@@ -52,20 +52,17 @@ def _read_matrix(path):
         return parse_cmx(handle.read())
 
 
-def _entry_lines(seq, m):
-    """The 'entry' lines of each m x m matrix of seq, formatted once per
-    distinct row object (the memo holds the rows it keys by id)."""
-    memo, prev, per_row = {}, (None,) * m, [()] * m
-    for dense in seq:
-        if dense is not prev:
-            for i in compress(count(), map(is_not, dense, prev)):
-                row = dense[i]
-                key = (i, id(row))
-                if key not in memo:
-                    memo[key] = (row, [f"entry {i + 1} {j} {row[j - 1]}"
-                                       for j in compress(count(1), row)])
-                per_row[i] = memo[key][1]
-            prev, lines = dense, list(chain.from_iterable(per_row))
+def _entry_lines(seq):
+    """The 'entry' lines of each matrix of seq, a row formatted only where
+    linalg.changed_rows reports a change."""
+    per_row = {}  # every row of seq[0] is reported, in order
+    for dense, rows in zip(seq, changed_rows(seq)):
+        for i in rows:
+            row = dense[i]
+            per_row[i] = [f"entry {i + 1} {j} {row[j - 1]}"
+                          for j in compress(count(1), row)]
+        if rows:
+            lines = list(chain.from_iterable(per_row.values()))
         yield lines
 
 
@@ -90,8 +87,8 @@ def _trace_records(trace, full):
             lines.extend(_trace_records(run.trace, full))
         return lines
     records = list(_records(trace))
-    t_lines = _entry_lines((t for _, _, t, _ in records), trace.matrix.m)
-    m_lines = _entry_lines((trace.matrices[i] for _, _, _, i in records), trace.matrix.m)
+    t_lines = _entry_lines([t for _, _, t, _ in records])
+    m_lines = _entry_lines([trace.matrices[i] for _, _, _, i in records])
     for label, marks, _, _ in records:
         lines.append(label)
         for mk in marks:

@@ -264,7 +264,8 @@ class SweepTrace:
     others they are the per-diagonal (or per-step) ones T^r. One routine,
     linalg.frozen_product, multiplies out each. Each is a tuple of row
     tuples sharing the rows its step left alone with the one before (a
-    per-step T with one identity): a trace retains the rows that changed.
+    per-step T with one identity): a trace retains the rows that changed,
+    and linalg.changed_rows is the one reader of that sharing.
     """
 
     algorithm: str

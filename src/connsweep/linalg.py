@@ -5,7 +5,8 @@ Python ints wherever possible and fractions.Fraction otherwise, so every
 operation is exact. Nothing here knows about chain partitions; callers
 slice blocks out themselves. Changes of basis are lists of elementary ops,
 applied by conjugate and multiplied out by frozen_product, both on a
-SparseMatrix whose snapshots share unchanged rows.
+SparseMatrix whose snapshots share unchanged rows; changed_rows alone
+reads that sharing back.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd
+from operator import is_not
 
 
 def norm(v):
@@ -140,6 +142,24 @@ class SparseMatrix:
         if out is not None:
             self.frozen = self.rows.source = tuple(out)
         return self.frozen
+
+
+def changed_rows(seq, first=None):
+    """For each matrix of seq, the indices (0-based, ascending) of its rows
+    whose values differ from the matrix before's (from first's for seq[0],
+    or every row of seq[0] when first is None). A row that is the matrix
+    before's own object is not compared: snapshots share each row their
+    step left alone, and this is the one reader of that sharing."""
+    prev = first
+    for dense in seq:
+        if prev is None:
+            yield list(range(len(dense)))
+        elif dense is prev:
+            yield []
+        else:
+            yield [i for i in compress(count(), map(is_not, dense, prev))
+                   if dense[i] != prev[i]]
+        prev = dense
 
 
 def _add(work, entries, c, created):

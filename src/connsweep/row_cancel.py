@@ -19,12 +19,13 @@ cancelled row/column pair, and the cancellation schedule read off a trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .block_seq import block_runs
 from .core import (PRIMARY, AlgorithmError, ConnectionMatrix,
                    PreconditionError, SweepTrace, frozen_transitions,
                    require_valid, sweep_diagonals)
-from .linalg import cancel_ops
+from .linalg import cancel_ops, changed_rows
 from .tu import SurfaceRejection, is_surface_connection_matrix
 
 
@@ -99,32 +100,24 @@ def reduce_complex(trace):
     A pivot found on diagonal xi takes effect in the next matrix, so stage r
     reads matrix r of the trace and deletes the pairs of every pivot with
     diagonal < r; the closing stage m reads the final matrix and deletes
-    them all. Removals are cumulative.
+    them all. Removals are cumulative. A row's nonzero columns are read
+    again only where linalg.changed_rows reports a change, and a stage
+    reads just those columns of its surviving rows.
     """
-    m = trace.matrix.m
     pivots = sorted(((mk.position[0], mk.position[1], mk.diagonal)
                      for mk in trace.registry.marks if mk.kind == PRIMARY),
                     key=lambda rec: (rec[2], rec[1]))
-    steps = []
-    for r in range(m + 1):
-        removed = set()
-        new_pairs = []
-        for (i, j, xi) in pivots:
-            if xi < r:
-                removed.add(i)
-                removed.add(j)
-                if xi == r - 1:
-                    new_pairs.append((i, j, xi))
-        surviving = tuple(idx for idx in range(1, m + 1) if idx not in removed)
-        source = trace.matrices[r]
-        entries = {}
-        for i in surviving:
-            row = source[i - 1]
-            for j in surviving:
-                v = row[j - 1]
-                if v:
-                    entries[(i, j)] = v
-        steps.append(ReductionStep(r, surviving, tuple(new_pairs), entries))
+    mats = trace.matrices
+    removed, cols, steps = set(), {}, []  # cols: each row's nonzero columns
+    for r, (source, rows) in enumerate(zip(mats, changed_rows(mats))):
+        new_pairs = tuple(rec for rec in pivots if rec[2] == r - 1)
+        removed.update(idx for i, j, _ in new_pairs for idx in (i, j))
+        for i in rows:
+            cols[i + 1] = list(compress(count(1), source[i]))
+        surviving = tuple(i for i in range(1, trace.matrix.m + 1) if i not in removed)
+        entries = {(i, j): source[i - 1][j - 1]
+                   for i in surviving for j in cols[i] if j not in removed}
+        steps.append(ReductionStep(r, surviving, new_pairs, entries))
     return ReductionTrace(trace.matrix, tuple(steps))
 
 

@@ -8,16 +8,23 @@ verified in product form (T Delta^{r+1} == Delta^r T, or P Delta^r ==
 Delta^0 P for the running bases P), never by inverting or replaying a
 change of basis.
 
-The product form is evaluated sparsely and exactly. With T = I + N, where
-N is read off the rows of T that differ from the identity's (rows shared
-with the T before are not read again), a link holds when Delta^{r+1} +
-N Delta^{r+1} == Delta^r + Delta^r N. The sides can differ only in N's
-rows, in the rows of Delta^r that meet its row support and in the rows
-Delta^{r+1} does not share with Delta^r, so a link compares just those.
-The other checks read each matrix's fresh rows (_fresh_rows) once, and
-the below-diagonal check reads an unchanged row only at an entry that just
-fell below, so a check costs the entries the steps changed plus O(m) per
-matrix, not O(m^2).
+Every check reads a stored sequence through linalg.changed_rows, the rows
+each matrix changed from the one before, as each row's versions
+(_row_versions): the matrices a version spans and its nonzero columns.
+The pattern check reads each version once; the below-diagonal check reads
+each entry of a version once, where it first lies below the diagonal, and
+each pivot in the versions of its row live after it joins; the final
+checks read each row's last version. So a check costs the entries the
+steps changed plus O(m) per matrix, not O(m^2).
+
+The product form is evaluated sparsely and exactly. With T = I + N, a link
+holds when Delta^{r+1} + N Delta^{r+1} == Delta^r + Delta^r N. The sides
+can differ only in N's rows, in the rows of Delta^r that meet its row
+support and in the rows Delta^{r+1} changed, so a link compares just
+those. For the running bases the left side is carried from link to link
+by the exact identity P^{r-1} Delta^r = P^{r-2} Delta^{r-1} + P^{r-2}
+(Delta^r - Delta^{r-1}) + (P^{r-1} - P^{r-2}) Delta^r, with P^{-1} = I,
+so a link costs the rows its step changed and keeps its own verdict.
 
 Every stored transition obeys one rule (_transition_structure): upper
 triangular within chain groups, a unit diagonal (nonzero for the integer
@@ -28,49 +35,40 @@ read from T - I, or from P^r - P^{r-1} for a running basis.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, count, repeat
-from operator import is_not, itemgetter, ne
+from itertools import compress, count
+from operator import itemgetter, ne
 
 from .core import CHANGE_OF_BASIS, PRIMARY, pattern_test, validate
-from .linalg import freeze, identity
+from .linalg import changed_rows, freeze, identity
 from .oracles import ilp_box_fits, ilp_brute_force
 from .sweep_z import KernelProblem
 
 
-def _new_rows(t, prev):
-    """Indices of the rows of t that are not prev's own objects (the rest equal)."""
-    return compress(count(), map(is_not, t, prev))
-
-
-def _row_changes(t, base, rows=None):
+def _row_changes(t, base, rows):
     """t - base as {row: [(column, difference), ...]}, 0-based, over the
-    given rows (by default those that are not base's own objects) where the
-    two differ, each row's entries in column order."""
+    given rows where the two differ, each row's entries in column order."""
     return {i: [(j, t[i][j] - base[i][j])
                 for j in compress(count(), map(ne, t[i], base[i]))]
-            for i in (_new_rows(t, base) if rows is None else rows)
-            if t[i] != base[i]}
+            for i in rows if t[i] != base[i]}
 
 
 def _offsets(transitions):
-    """T - I as row changes for each transition T; a row that is the
-    previous T's own object keeps the change found for it there."""
+    """T - I as row changes for each transition T; a row that did not
+    change from the T before keeps the change found for it there."""
     units = freeze(identity(len(transitions[0]))) if transitions else ()
-    prev, n = units, {}
-    out = []
-    for t in transitions:
-        if t is not prev:
-            n = dict(sorted({**{i: c for i, c in n.items() if t[i] is prev[i]},
-                             **_row_changes(t, units, _new_rows(t, prev))}.items()))
+    n, out = {}, []
+    for t, rows in zip(transitions, changed_rows(transitions, units)):
+        if rows:
+            stale = set(rows)
+            n = dict(sorted({**{i: c for i, c in n.items() if i not in stale},
+                             **_row_changes(t, units, rows)}.items()))
         out.append(n)
-        prev = t
     return out
 
 
-def _left_row(n, b, i):
-    """Row i of (I + N) b as a list, N given by its row changes."""
-    row = list(b[i])
-    for k, c in n.get(i, ()):
+def _add_rows(row, n, b):
+    """row + c b[k] for each (k, c) in n, in place; returns row."""
+    for k, c in n:
         bk = b[k]
         for j in compress(count(), bk):
             row[j] += c * bk[j]
@@ -100,7 +98,8 @@ def _basis_steps(bases):
     """P^r - P^{r-1} as row changes for each running basis P^r (P^{-1} = I):
     what each step changed."""
     units = freeze(identity(len(bases[0])))
-    return [_row_changes(p, prev) for prev, p in zip((units, *bases), bases)]
+    return [_row_changes(p, prev, rows) for prev, p, rows
+            in zip((units, *bases), bases, changed_rows(bases, units))]
 
 
 def _delta0_products(trace, steps):
@@ -124,49 +123,29 @@ def _trailing_zeros(col):
 
 
 def _check(out, name, failures):
-    if failures:
-        out.append((name, False, failures[0]))
-    else:
-        out.append((name, True, ""))
+    out.append((name, not failures, failures[0] if failures else ""))
 
 
-def _fresh_rows(matrices):
-    """For each matrix r, {i: nonzero columns} (0-based, ascending) over
-    the rows that differ from row i of matrix r - 1, and over every row of
-    matrix 0: the rows a step changed. A check whose verdict on an entry
-    cannot get better from one matrix to the next reads only these, since a
-    violation in a row left as it was is reported at the matrix before,
-    which comes first. Also returns the last matrix's nonzero columns."""
-    out = []
-    prev = (None,) * len(matrices[0]) if matrices else ()
-    last = [()] * len(prev)
-    cols_of = {}  # id(row) -> its nonzero columns; the rows outlive this call
-    for dense in matrices:
-        rows = {}
-        if dense is not prev:
-            for i in _new_rows(dense, prev):
-                row = dense[i]
-                if row != prev[i]:
-                    cols = cols_of.get(id(row))
-                    if cols is None:
-                        cols = cols_of[id(row)] = tuple(compress(count(), row))
-                    rows[i] = last[i] = cols
-        out.append(rows)
-        prev = dense
-    return out, last
+def _row_versions(seq, changed):
+    """Each row's versions in seq, given changed_rows(seq): a (start, end,
+    nonzero columns, 0-based) triple per run of matrices start..end - 1
+    holding the row, in order; each distinct row object is scanned once."""
+    starts = [[] for _ in seq[0]]
+    for r, rows in enumerate(changed):
+        for i in rows:
+            starts[i].append(r)
+    distinct = {id(seq[s][i]): seq[s][i] for i, ss in enumerate(starts) for s in ss}
+    cols = {key: tuple(compress(count(), row)) for key, row in distinct.items()}
+    return [[(s, e, cols[id(seq[s][i])]) for s, e in zip(ss, [*ss[1:], len(seq)])]
+            for i, ss in enumerate(starts)]
 
 
-def _pattern_compliance(out, name, fresh, allowed):
-    """fresh: as _fresh_rows gives it; allowed: a pattern_test."""
+def _pattern_compliance(out, name, versions, allowed):
+    """versions: as _row_versions gives them; allowed: a pattern_test."""
+    bad = sorted((s, i, j) for i, vs in enumerate(versions) for s, _, cols in vs
+                 for j in cols if not allowed(i + 1, j + 1))
     _check(out, name, [f"matrix {r} has a nonzero at {(i + 1, j + 1)} outside "
-                       "the pattern" for r, rows in enumerate(fresh)
-                       for i, cols in rows.items() for j in cols
-                       if not allowed(i + 1, j + 1)])
-
-
-def _above_pivot(pivot_row_of_col, i, j):
-    """A nonzero at (i, j) may stay iff its column's pivot row is i or below."""
-    return pivot_row_of_col.get(j, 0) >= i
+                       "the pattern" for r, i, j in bad])
 
 
 def _pivot_rows(marks):
@@ -174,50 +153,37 @@ def _pivot_rows(marks):
     return {mk.position[1]: mk.position[0] for mk in marks if mk.kind == PRIMARY}
 
 
-def _below_diagonal_structure(out, matrices, fresh, marks):
+def _below_diagonal_structure(out, versions, marks):
     """Strictly below diagonal r, nonzeros must be primary pivots or sit
     above one, and pivot entries must stay nonzero once their diagonal is
     strictly passed.
 
-    Pivots only join, and a pivot that joins at r sits on diagonal r - 1,
-    above every entry already below it. So a row left as it was holds no
-    new violation but at its entry on diagonal r - 1, which just fell
-    below, and a pivot entry can only turn zero where its row changed. The
-    pivot map grows once. A fresh row is read up to the diagonal, and its
-    next entry is filed under the matrix where it falls below; there, if
-    the row is still the one read, that entry is read and the next one
-    filed. A pivot is read where it joins and where its row is fresh."""
-    joins = {}
+    A pivot joins at the matrix after its diagonal and stays, so an entry
+    that may stay once may stay for good: each entry of a row version is
+    read once, at the first matrix of the version where it lies below the
+    diagonal, against its column's pivot row and the matrix where that
+    pivot joins. A pivot is read in each version of its row that is live
+    once it has joined."""
+    joined = {mk.position[1]: (mk.position[0], mk.diagonal + 1)
+              for mk in marks if mk.kind == PRIMARY}
+    bad = []
+    for i, vs in enumerate(versions):
+        for s, e, cols in vs:
+            for j in cols[:bisect_left(cols, e + i - 1)]:  # below the diagonal before e
+                p, t = joined.get(j + 1, (0, 0))
+                if p <= i or t > s and t > j - i + 1:
+                    r = max(s, j - i + 1)
+                    bad.append((r, 0, (i, j), f"matrix {r}: nonzero at "
+                                f"{(i + 1, j + 1)} below diagonal {r} is "
+                                "neither a primary pivot nor above one"))
     for n, mk in enumerate(marks):
         if mk.kind == PRIMARY:
-            joins.setdefault(max(mk.diagonal + 1, 0), []).append((n, mk.position))
-    pivot_row_of_col, pivots_of_row = {}, {}
-    due, read_at = {}, {}  # due: matrix -> (row, matrix read at, column's place)
-    bad = []
-    for r, (dense, rows) in enumerate(zip(matrices, fresh)):
-        joined, late = joins.get(r, ()), due.pop(r, ())
-        if not (rows or joined or late):
-            continue
-        for n, (i, j) in joined:
-            pivot_row_of_col[j] = i
-            pivots_of_row.setdefault(i - 1, []).append((n, (i, j)))
-        read_at.update(dict.fromkeys(rows, r))
-        entries = []
-        for i, s, p in [*((i, r, 0) for i in rows), *late]:
-            if read_at[i] == s:
-                cols = fresh[s][i]
-                q = bisect_left(cols, i + r, p)
-                entries.extend(zip(repeat(i), cols[p:q]))
-                if q < len(cols):
-                    due.setdefault(cols[q] - i + 1, []).append((i, s, q))
-        bad.extend(f"matrix {r}: nonzero at {(i + 1, j + 1)} below diagonal {r} "
-                   "is neither a primary pivot nor above one"
-                   for i, j in sorted(entries)
-                   if not _above_pivot(pivot_row_of_col, i + 1, j + 1))
-        pivots = {*joined, *(p for i in rows for p in pivots_of_row.get(i, ()))}
-        bad.extend(f"matrix {r}: primary pivot at {(i, j)} became zero"
-                   for _, (i, j) in sorted(pivots) if not dense[i - 1][j - 1])
-    _check(out, "below_diagonal_pivot_structure", bad)
+            (i, j), t = mk.position, mk.diagonal + 1
+            bad.extend((max(s, t), 1, n, f"matrix {max(s, t)}: primary pivot at "
+                        f"{(i, j)} became zero")
+                       for s, e, cols in versions[i - 1]
+                       if e > t and j - 1 not in cols)
+    _check(out, "below_diagonal_pivot_structure", [msg for *_, msg in sorted(bad)])
 
 
 def _transition_structure(out, trace, changes, allowed, unit_diagonal=True):
@@ -250,27 +216,36 @@ def _transition_structure(out, trace, changes, allowed, unit_diagonal=True):
     _check(out, "transition_structure", bad)
 
 
-def _similarity(out, trace, offsets, products=None):
-    """The product form of every link, given T - I for each stored T
-    (_offsets); for z and accumulated traces, products holds Delta^0 P for
-    each stored P (_delta0_products)."""
+def _similarity(out, trace, changed, changes, products=None):
+    """The product form of every link, given changed_rows(trace.matrices)
+    and changes: T - I for each stored T (_offsets), or for z and
+    accumulated traces P^r - P^{r-1} for each stored P (_basis_steps), with
+    products holding Delta^0 P for each (_delta0_products)."""
     bad = []
     mats = trace.matrices
     if products is not None:
-        for r in range(1, len(mats)):
-            n, left = offsets[r - 1], list(mats[r])  # (I + N) Delta^r
-            for i in n:
-                left[i] = tuple(_left_row(n, mats[r], i))
-            if left != products[r - 1]:
+        left, differ = list(mats[0]), set()  # P^{r-1} Delta^r, rows off Delta^0 P^{r-1}
+        bases = (freeze(identity(len(left))), *trace.transitions)
+        for r, product, moved in zip(range(1, len(mats)), products,
+                                     changed_rows(products, mats[0])):
+            if changed[r] or changes[r - 1]:  # else both sides are as before
+                step = _row_changes(mats[r], mats[r - 1], changed[r])
+                rows = _right_rows(left, bases[r - 1], step)
+                for i, n in changes[r - 1].items():
+                    _add_rows(rows.setdefault(i, list(left[i])), n, mats[r])
+                for i, row in rows.items():
+                    left[i] = tuple(row)
+                differ = {i for i in {*differ, *rows, *moved} if left[i] != product[i]}
+            if differ:
                 bad.append(f"P^{r - 1} Delta^{r} != Delta^0 P^{r - 1}")
     else:
-        for r in range(len(mats) - 1):
-            n, a, b = offsets[r], mats[r], mats[r + 1]
-            if not n and b is a:
+        for r, (n, a, b) in enumerate(zip(changes, mats, mats[1:])):
+            if not (n or changed[r + 1]):
                 continue
             right = _right_rows(a, a, n)
-            if any(_left_row(n, b, i) != (right[i] if i in right else list(a[i]))
-                   for i in {*n, *right, *(() if b is a else _new_rows(b, a))}):
+            if any(_add_rows(list(b[i]), n.get(i, ()), b)
+                   != (right[i] if i in right else list(a[i]))
+                   for i in {*n, *right, *changed[r + 1]}):
                 bad.append(f"T^{r} Delta^{r + 1} != Delta^{r} T^{r}")
     _check(out, "similarity", bad)
 
@@ -282,7 +257,7 @@ def _final_zero_pattern(out, final, nonzeros, marks):
     pivot_row_of_col = _pivot_rows(marks)
     for i, cols in enumerate(nonzeros, start=1):
         bad.extend(f"final matrix: nonzero at {(i, j + 1)} not above a primary pivot"
-                   for j in cols if not _above_pivot(pivot_row_of_col, i, j + 1))
+                   for j in cols if pivot_row_of_col.get(j + 1, 0) < i)
     for j, i in pivot_row_of_col.items():
         if not final[i - 1][j - 1]:
             bad.append(f"final matrix: primary pivot {(i, j)} is zero")
@@ -341,18 +316,20 @@ def verify_sweep(trace):
     out = []
     _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
     allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
-    fresh, nonzeros = _fresh_rows(trace.matrices)
-    _pattern_compliance(out, "pattern_compliance", fresh, allowed)
-    offsets = _offsets(trace.transitions)
-    changes, products = offsets, None
+    changed = list(changed_rows(trace.matrices))
+    versions = _row_versions(trace.matrices, changed)
+    _pattern_compliance(out, "pattern_compliance", versions, allowed)
+    products = None
     running = trace.algorithm in ("z", "accumulated")
     if running:
         changes = _basis_steps(trace.transitions)
         products = _delta0_products(trace, changes)
         _pattern_compliance(out, "pattern_compliance_product",
-                            _fresh_rows(products)[0], allowed)
+                            _row_versions(products, changed_rows(products)), allowed)
+    else:
+        changes = _offsets(trace.transitions)
     marks = trace.registry.marks
-    _below_diagonal_structure(out, trace.matrices, fresh, marks)
+    _below_diagonal_structure(out, versions, marks)
     # Mark (i, j) may change column j of P^r, but of T^r only (p, j), (i, p) a pivot.
     primary_col_of_row = {i: j for j, i in _pivot_rows(marks).items()}
     _transition_structure(
@@ -361,7 +338,8 @@ def verify_sweep(trace):
                         mk.position[1]))
          for mk in marks if mk.kind == CHANGE_OF_BASIS],
         unit_diagonal=trace.algorithm != "z")
-    _similarity(out, trace, offsets, products)
+    _similarity(out, trace, changed, changes, products)
+    nonzeros = [vs[-1][2] for vs in versions]
     _final_zero_pattern(out, trace.final, nonzeros, marks)
     _final_complementarity(out, nonzeros)
     if trace.algorithm == "z":
@@ -369,17 +347,11 @@ def verify_sweep(trace):
     return out
 
 
-def _first_nonzero_after(mats, changed_rows, r, i, lo=0):
-    """The first matrix s > r whose row i has a nonzero past column lo, or
-    None. Only matrix r + 1 is read; after it the row can turn nonzero only
-    in a matrix whose step changed it, its (s, nonzero columns) in
-    changed_rows[i]."""
-    if r + 1 >= len(mats):
-        return None
-    if any(mats[r + 1][i - 1][lo:]):
-        return r + 1
-    return next((s for s, cols in changed_rows.get(i, ())
-                 if s > r + 1 and cols and cols[-1] >= lo), None)
+def _first_nonzero_after(versions, r, lo=0):
+    """The first matrix s > r where a row, given its versions, has a
+    nonzero in column lo (0-based) or past it, or None."""
+    return next((max(s, r + 1) for s, e, cols in versions
+                 if e > r + 1 and cols and cols[-1] >= lo), None)
 
 
 def verify_row_cancellation(trace):
@@ -387,11 +359,11 @@ def verify_row_cancellation(trace):
     out = []
     _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
     allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
-    fresh, nonzeros = _fresh_rows(trace.matrices)
-    _pattern_compliance(out, "pattern_compliance", fresh, allowed)
+    changed = list(changed_rows(trace.matrices))
+    versions = _row_versions(trace.matrices, changed)
+    _pattern_compliance(out, "pattern_compliance", versions, allowed)
     marks = trace.registry.marks
-    mats = trace.matrices
-    _below_diagonal_structure(out, mats, fresh, marks)
+    _below_diagonal_structure(out, versions, marks)
 
     bad = []
     pivot_cols = {mk.position[1] for mk in marks}
@@ -401,17 +373,13 @@ def verify_row_cancellation(trace):
                    "and pivot columns at once")
     _check(out, "pivot_row_column_exclusion", bad)
 
-    changed_rows = {}
-    for r, rows in enumerate(fresh):
-        for i, cols in rows.items():
-            changed_rows.setdefault(i + 1, []).append((r, cols))
     row_bad, right_bad = [], []
     for mk in marks:
         i, j = mk.position
-        s = _first_nonzero_after(mats, changed_rows, mk.diagonal, j)
+        s = _first_nonzero_after(versions[j - 1], mk.diagonal)
         if s is not None:
             row_bad.append(f"row {j} not zero in matrix {s} after its pivot")
-        s = _first_nonzero_after(mats, changed_rows, mk.diagonal, i, j)
+        s = _first_nonzero_after(versions[i - 1], mk.diagonal, j)
         if s is not None:
             right_bad.append(f"matrix {s}: entries right of pivot {(i, j)} not zero")
     _check(out, "pivot_row_zeroed", row_bad)
@@ -428,7 +396,8 @@ def verify_row_cancellation(trace):
     offsets = _offsets(trace.transitions)
     _transition_structure(out, trace, offsets,
                           [(mk.diagonal, (mk.position[1], None)) for mk in marks])
-    _similarity(out, trace, offsets)
+    _similarity(out, trace, changed, offsets)
+    nonzeros = [vs[-1][2] for vs in versions]
     _final_zero_pattern(out, trace.final, nonzeros, marks)
     _final_complementarity(out, nonzeros)
     return out
@@ -489,7 +458,7 @@ def verify_revised(trace):
     offsets = _offsets(trace.transitions)
     _transition_structure(out, trace, offsets,
                           [(t, (mk.position[1], None)) for t, mk in enumerate(marks)])
-    _similarity(out, trace, offsets)
+    _similarity(out, trace, list(changed_rows(mats)), offsets)
     _final_zero_pattern(out, trace.final,
                         [tuple(compress(count(), row)) for row in trace.final], marks)
     return out

@@ -91,17 +91,20 @@ def mat_mul(a, b):
 
 
 def similarity_holds(trace):
-    """Every link of a sweep trace's similarity chain, multiplied out
-    densely: T^r Delta^{r+1} == Delta^r T^r, or P^{r-1} Delta^r ==
-    Delta^0 P^{r-1} when the transitions are running bases (z,
-    accumulated)."""
+    """(ok, first failure) for every link of a sweep trace's similarity
+    chain, multiplied out densely and worded as verify words it:
+    T^r Delta^{r+1} == Delta^r T^r, or P^{r-1} Delta^r == Delta^0 P^{r-1}
+    when the transitions are running bases (z, accumulated)."""
     mats = [thaw(x) for x in trace.matrices]
     ts = [thaw(x) for x in trace.transitions]
     if trace.algorithm in ("z", "accumulated"):
-        return all(mat_eq(mat_mul(ts[r - 1], mats[r]), mat_mul(mats[0], ts[r - 1]))
-                   for r in range(1, len(mats)))
-    return all(mat_eq(mat_mul(ts[r], mats[r + 1]), mat_mul(mats[r], ts[r]))
-               for r in range(len(mats) - 1))
+        return _verdict([f"P^{r - 1} Delta^{r} != Delta^0 P^{r - 1}"
+                         for r in range(1, len(mats))
+                         if not mat_eq(mat_mul(ts[r - 1], mats[r]),
+                                       mat_mul(mats[0], ts[r - 1]))])
+    return _verdict([f"T^{r} Delta^{r + 1} != Delta^{r} T^{r}"
+                     for r in range(len(mats) - 1)
+                     if not mat_eq(mat_mul(ts[r], mats[r + 1]), mat_mul(mats[r], ts[r]))])
 
 
 def _nonzeros(dense):
@@ -181,6 +184,37 @@ def pivot_zeroed_verdicts(trace):
     return {name: (not bad, bad[0] if bad else "")
             for name, bad in (("pivot_row_zeroed", row_bad),
                               ("pivot_right_zeroed", right_bad))}
+
+
+def reduction_steps(trace):
+    """(r, surviving, removed pairs, entries) for each stage of
+    row_cancel.reduce_complex, every surviving (i, j) pair of the stage's
+    matrix read."""
+    m = trace.matrix.m
+    pivots = sorted(((mk.position[0], mk.position[1], mk.diagonal)
+                     for mk in trace.registry.marks if mk.kind == PRIMARY),
+                    key=lambda rec: (rec[2], rec[1]))
+    steps = []
+    for r in range(m + 1):
+        removed = set()
+        new_pairs = []
+        for (i, j, xi) in pivots:
+            if xi < r:
+                removed.add(i)
+                removed.add(j)
+                if xi == r - 1:
+                    new_pairs.append((i, j, xi))
+        surviving = tuple(idx for idx in range(1, m + 1) if idx not in removed)
+        source = trace.matrices[r]
+        entries = {}
+        for i in surviving:
+            row = source[i - 1]
+            for j in surviving:
+                v = row[j - 1]
+                if v:
+                    entries[(i, j)] = v
+        steps.append((r, surviving, tuple(new_pairs), entries))
+    return steps
 
 
 def kernel_problems(trace):

@@ -5,8 +5,9 @@ from functools import reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connsweep.linalg import (SparseMatrix, bareiss_det, clear_denominators, conjugate,
-                              exact_div, freeze, frozen_product, identity,
+from connsweep.linalg import (SparseMatrix, bareiss_det, changed_rows,
+                              clear_denominators, conjugate, exact_div, freeze,
+                              frozen_product, identity,
                               integer_kernel_basis, norm, rank,
                               reduce_mod_lattice, thaw, xgcd)
 from reference import invert_upper, is_identity, mat_mul, ops_product
@@ -182,3 +183,37 @@ def test_frozen_product_multiplies_out_on_any_base(case):
     assert thaw(got) == mat_mul(thaw(base), ops_product(len(base), ops))
     assert all(new is old for new, old in zip(got, base) if new == old)
     assert (got is base) == (got == base)
+
+
+@st.composite
+def snapshot_sequences(draw):
+    """(first, seq): the snapshots of a conjugated SparseMatrix, one per op
+    list (an empty list stores the same matrix again), after the first one;
+    in half the cases some rows are then replaced by new objects of equal
+    value, which a walk comparing identities alone would report."""
+    m, dense, _ = draw(conjugation_cases())
+    work = SparseMatrix(freeze(dense))
+    first = work.frozen
+    seq = []
+    for _ in range(draw(st.integers(1, 6))):
+        conjugate(work, draw(ops_lists(m, upper=True)))
+        seq.append(work.snapshot())
+    if draw(st.booleans()):
+        for r, i in draw(st.lists(st.tuples(st.integers(0, len(seq) - 1),
+                                             st.integers(0, m - 1)), max_size=6)):
+            seq[r] = seq[r][:i] + (tuple(list(seq[r][i])),) + seq[r][i + 1:]
+    return first, seq
+
+
+@settings(max_examples=200, deadline=None)
+@given(snapshot_sequences())
+def test_changed_rows_are_the_rows_whose_values_differ(case):
+    """Whatever objects hold them, exactly the rows whose values differ
+    from the matrix before's, with every row of the first matrix reported
+    when there is none before it."""
+    first, seq = case
+    m = len(first)
+    expected = [[i for i in range(m) if mat[i] != prev[i]]
+                for prev, mat in zip([first, *seq], seq)]
+    assert list(changed_rows(seq, first)) == expected
+    assert list(changed_rows(seq)) == [list(range(m)), *expected[1:]]

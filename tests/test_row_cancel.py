@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        ConnectionMatrix, PreconditionError, RandomSpec,
                        allowable_pattern, block_sequential_row_cancellation,
-                       cancellation_schedule, parse_cmx, random_connection_matrix,
+                       cancellation_schedule, generate_surface_matrix,
+                       parse_cmx, random_connection_matrix,
                        rc_transition_ops, reduce_complex, row_cancellation,
                        smale_cancellation_sweep, sweep_incremental,
                        betti_over_q)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
 from connsweep.linalg import SparseMatrix, freeze, identity, thaw
 from connsweep.verify import verify_block_runs, verify_row_cancellation
-from reference import dense_of, is_identity, mat_mul, ops_product
+from reference import (dense_of, is_identity, mat_mul, ops_product,
+                       reduction_steps)
 
 
 def pivots_of(trace):
@@ -248,6 +250,21 @@ def test_reduce_tucb_preserves_betti():
         assert betti_over_q(st.as_connection_matrix(FIX_TUCB.partition)) == base
     assert red.steps[-1].entries == {}
     assert red.steps[-1].surviving == (1, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    pattern_valid_matrices().map(row_cancellation),
+    st.builds(generate_surface_matrix, st.integers(0, 10**6),
+              st.tuples(st.integers(1, 5), st.integers(1, 8), st.integers(1, 5)),
+              density=st.floats(0.3, 1.0), flips=st.integers(0, 3))
+    .map(smale_cancellation_sweep)))
+def test_reduce_complex_matches_reading_every_pair(trace):
+    """Reading each row's nonzero columns where the row changed gives the
+    stages of reading every surviving pair of every stage's matrix."""
+    got = [(step.r, step.surviving, step.removed_pairs, step.entries)
+           for step in reduce_complex(trace).steps]
+    assert got == reduction_steps(trace)
 
 
 def test_smale_requires_surface():

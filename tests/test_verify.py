@@ -142,8 +142,10 @@ def corrupted_traces(draw, stored=("matrices", "transitions"), algorithms=RUNNER
 @settings(max_examples=150, deadline=None)
 @given(corrupted_traces())
 def test_similarity_verdict_matches_dense_product(case):
+    """The verdict and the first failing link: the running-basis left side
+    carried from link to link names the link the dense product does."""
     trace, sweeps = case
-    verdicts = {name: ok for name, ok, _ in verify_trace(trace)}
+    verdicts = {name: (ok, detail) for name, ok, detail in verify_trace(trace)}
     for prefix, sweep in sweeps.items():
         assert verdicts[prefix + "similarity"] == similarity_holds(sweep)
 
