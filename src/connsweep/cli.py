@@ -176,7 +176,7 @@ def _parse_pivot_file(path):
             try:
                 rec = (int(parts[1]), int(parts[2]), int(parts[3]),
                        Fraction(parts[4]))
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise PreconditionError(f"{path}:{lineno}: {exc}") from exc
             pivots.add(rec)
     return pivots
@@ -258,7 +258,7 @@ def _cmd_oracle_ilp(args):
                 continue
             try:
                 rows.append([Fraction(tok) for tok in line.split()])
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise PreconditionError(f"bad matrix row {line!r}: {exc}") from exc
     if not rows or len({len(r) for r in rows}) != 1:
         raise PreconditionError("need a nonempty rectangular matrix")

@@ -247,9 +247,16 @@ class MarkRegistry:
     def primary_positions(self):
         return frozenset(mk.position for mk in self.marks if mk.kind == PRIMARY)
 
+    @cached_property
+    def _by_diagonal(self):
+        by_diagonal = {}
+        for mk in sorted(self.marks, key=lambda mk: mk.position[1]):
+            by_diagonal.setdefault(mk.diagonal, []).append(mk)
+        return by_diagonal
+
     def on_diagonal(self, r):
-        return sorted((mk for mk in self.marks if mk.diagonal == r),
-                      key=lambda mk: mk.position[1])
+        """The marks assigned on diagonal r, in column order."""
+        return list(self._by_diagonal.get(r, ()))
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,14 @@ operation is exact. Nothing here knows about chain partitions; callers
 slice blocks out themselves. Changes of basis are lists of elementary ops,
 applied by conjugate and multiplied out by frozen_product, both on a
 SparseMatrix whose snapshots share unchanged rows; changed_rows alone
-reads that sharing back.
+reads that sharing back. Integer lattices go through echelon alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, count
-from math import gcd
+from math import gcd, lcm
 from operator import is_not
 
 
@@ -300,81 +300,63 @@ def clear_denominators(rows):
     """Scale each row by the lcm of its denominators; returns integer rows."""
     out = []
     for row in rows:
-        mult = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                d = v.denominator
-                mult = mult * d // gcd(mult, d)
+        mult = lcm(*(v.denominator for v in row))
         out.append([int(v * mult) for v in row])
     return out
+
+
+def echelon(vectors):
+    """Echelon basis of the lattice the integer vectors generate, as
+    {pivot: vector}: a vector's pivot is its last nonzero coordinate, made
+    positive, and no two vectors share one. Two vectors meeting at a pivot
+    are replaced by a unimodular xgcd combination of the two, one holding
+    their gcd there and one zero, so the lattice is kept; a vector that
+    reaches zero is dropped (Hermite-style; Cohen, §2.4)."""
+    ech = {}
+    for b in vectors:
+        b = list(b)
+        for p in range(len(b) - 1, -1, -1):
+            if not b[p]:
+                continue
+            e = ech.get(p)
+            if e is None:
+                ech[p] = b if b[p] > 0 else [-x for x in b]
+                break
+            g, x, y = xgcd(e[p], b[p])
+            s, t = e[p] // g, b[p] // g
+            ech[p] = [x * u + y * w for u, w in zip(e, b)]
+            b = [s * w - t * u for u, w in zip(e, b)]
+    return ech
 
 
 def integer_kernel_basis(rows, n_cols):
     """Basis of the lattice {x in Z^n : rows @ x == 0} for integer rows.
 
-    Column elimination with unimodular two-column combinations; the returned
-    vectors generate the full integer kernel, not merely a finite-index
-    sublattice.
+    The vectors (e_j, column j of rows) generate {(x, rows @ x)}; of their
+    echelon basis, those pivoting among the first n coordinates have
+    rows @ x == 0 and generate the whole integer kernel, not merely a
+    finite-index sublattice.
     """
-    a_cols = [[row[j] for row in rows] for j in range(n_cols)]
-    u_cols = [[1 if i == j else 0 for i in range(n_cols)] for j in range(n_cols)]
-    free = list(range(n_cols))
-    n_rows = len(rows)
-    for i in range(n_rows):
-        nz = [j for j in free if a_cols[j][i]]
-        if not nz:
-            continue
-        j0 = nz[0]
-        for j in nz[1:]:
-            a0, aj = a_cols[j0][i], a_cols[j][i]
-            g, x, y = xgcd(a0, aj)
-            s, t = a0 // g, aj // g
-            c0a, cja = a_cols[j0], a_cols[j]
-            c0u, cju = u_cols[j0], u_cols[j]
-            a_cols[j0] = [x * p + y * q for p, q in zip(c0a, cja)]
-            a_cols[j] = [-t * p + s * q for p, q in zip(c0a, cja)]
-            u_cols[j0] = [x * p + y * q for p, q in zip(c0u, cju)]
-            u_cols[j] = [-t * p + s * q for p, q in zip(c0u, cju)]
-        free.remove(j0)
-    return [u_cols[j] for j in free]
+    ech = echelon([e_j + [row[j] for row in rows]
+                   for j, e_j in enumerate(identity(n_cols))])
+    return [ech[p][:n_cols] for p in sorted(ech) if p < n_cols]
 
 
 def reduce_mod_lattice(v, basis):
     """Canonical coset representative of v modulo the lattice spanned by basis.
 
-    The lattice basis is echelonized with pivots at the lowest (largest-index)
-    nonzero coordinate; v is then reduced pivot by pivot to the symmetric
-    residue range, which is a unique representative of the coset.
+    v is reduced by echelon(basis), pivot by pivot from the last, to the
+    symmetric residue range (-h/2, h/2] of each pivot h. Two such
+    representatives of one coset differ by a lattice vector whose last
+    nonzero coordinate is a pivot's, a multiple of h smaller than h, so
+    zero: the representative depends on the lattice alone.
     """
     v = list(v)
-    work = [list(b) for b in basis if any(b)]
-    ech = {}
-    for b in work:
-        while True:
-            p = None
-            for k in range(len(b) - 1, -1, -1):
-                if b[k]:
-                    p = k
-                    break
-            if p is None:
-                break
-            if p not in ech:
-                ech[p] = b if b[p] > 0 else [-x for x in b]
-                break
-            e = ech[p]
-            g, x, y = xgcd(e[p], b[p])
-            s, t = e[p] // g, b[p] // g
-            new_e = [x * p1 + y * q1 for p1, q1 in zip(e, b)]
-            new_b = [s * q1 - t * p1 for p1, q1 in zip(e, b)]
-            ech[p] = new_e if new_e[p] > 0 else [-x1 for x1 in new_e]
-            b = new_b
+    ech = echelon(basis)
     for p in sorted(ech, reverse=True):
         e = ech[p]
         h = e[p]
-        rem = v[p] % h
-        if 2 * rem > h:
-            rem -= h
-        q = (v[p] - rem) // h
+        q = -((h - 2 * v[p]) // (2 * h))  # v[p] - q*h lies in (-h/2, h/2]
         if q:
             v = [vi - q * ei for vi, ei in zip(v, e)]
     return v

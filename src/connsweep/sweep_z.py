@@ -2,10 +2,10 @@
 
 Same diagonal sweep and markup as the rational variants, but each
 change-of-basis pivot is resolved by an integer minimization: replace the
-pivot's basis column with an integer combination of columns of the same
-chain index that zeroes the pivot and everything below it, choosing the
-smallest possible positive leading coefficient. Intermediate matrices may
-still be fractional; only the combination itself is integral.
+pivot's basis column with the integer combination of columns of the same
+chain index that zeroes the pivot and everything below it with the least
+positive leading coefficient, read off linalg.echelon's form of the
+kernel lattice. The combination is integral; the matrices may not be.
 
 The trace keeps the running basis P^r, whose column j is the combination
 found for a pivot in column j. The working matrix moves by
@@ -22,13 +22,12 @@ holding P^{r-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .core import (PRIMARY, AlgorithmError, SweepTrace, require_valid,
                    sweep_diagonals)
-from .linalg import (SparseMatrix, clear_denominators, exact_div, freeze,
-                     frozen_product, identity, integer_kernel_basis,
-                     reduce_mod_lattice, solve_upper, xgcd)
+from .linalg import (SparseMatrix, clear_denominators, echelon, exact_div,
+                     freeze, frozen_product, identity, integer_kernel_basis,
+                     reduce_mod_lattice, solve_upper)
 
 
 @dataclass(frozen=True)
@@ -53,38 +52,20 @@ class KernelProblem:
 def solve_min_leading(problem):
     """Optimal integer kernel vector with minimal positive last coordinate.
 
-    The integer kernel lattice is computed exactly; the achievable last
-    coordinates form g*Z for g the gcd of the basis last coordinates, and an
-    extended-gcd combination realizes g. The remaining freedom (the
-    sublattice with last coordinate zero) is fixed by reducing to the
-    canonical symmetric-residue representative, so results are deterministic.
+    The integer kernel lattice is computed exactly and put in echelon form
+    (linalg.echelon). The achievable last coordinates form hZ for h the
+    pivot at c-1, so the vector pivoting there has the minimal positive
+    leading coefficient. The remaining freedom, the other echelon vectors
+    (those with last coordinate zero), is fixed by reducing to the
+    canonical symmetric-residue representative, so results are
+    deterministic.
     """
     c = problem.c
-    rows = clear_denominators([list(r) for r in problem.a])
-    basis = integer_kernel_basis(rows, c)
-    lasts = [vec[c - 1] for vec in basis]
-    g = 0
-    for v in lasts:
-        g = gcd(g, v)
-    if g == 0:
+    ech = echelon(integer_kernel_basis(clear_denominators(problem.a), c))
+    lead = ech.pop(c - 1, None)
+    if lead is None:
         raise AlgorithmError("no integer kernel vector with positive last coordinate")
-    combo = None
-    cur = 0
-    for vec, last in zip(basis, lasts):
-        if not last:
-            continue
-        if combo is None:
-            combo, cur = list(vec), last
-        else:
-            _, x, y = xgcd(cur, last)
-            combo = [x * p + y * q for p, q in zip(combo, vec)]
-            cur = x * cur + y * last
-    if combo[c - 1] < 0:
-        combo = [-v for v in combo]
-    sub = [[vec[k] - (vec[c - 1] // combo[c - 1]) * combo[k] for k in range(c)]
-           for vec in basis]
-    x = reduce_mod_lattice(combo, sub)
-    return tuple(x)
+    return tuple(reduce_mod_lattice(lead, ech.values()))
 
 
 def sweep_over_z(matrix):

@@ -1,9 +1,12 @@
 """Independent reference computations that tests compare the package against."""
 
 from itertools import compress, count
+from math import gcd
 
-from connsweep import CHANGE_OF_BASIS, PRIMARY, KernelProblem, allowable_pattern
-from connsweep.linalg import exact_div, identity, norm, solve_upper, thaw
+from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError, KernelProblem,
+                       allowable_pattern)
+from connsweep.linalg import (clear_denominators, exact_div, identity, norm,
+                              solve_upper, thaw, xgcd)
 
 
 def dense_of(cm):
@@ -271,3 +274,118 @@ def trace_lines(trace, full):
             lines.append("matrix")
             lines.extend(_entry_lines(trace.matrices[idx]))
     return lines
+
+
+# The integer-lattice routines as they were before linalg.echelon: a
+# two-column xgcd elimination for the kernel, a separate echelon loop for
+# the canonical reduction, and a gcd scan with an xgcd combination for the
+# least positive leading coefficient. Tests hold the package's echelon-based
+# solver to the same answers.
+
+
+def integer_kernel_basis(rows, n_cols):
+    """Basis of the lattice {x in Z^n : rows @ x == 0} for integer rows.
+
+    Column elimination with unimodular two-column combinations; the returned
+    vectors generate the full integer kernel, not merely a finite-index
+    sublattice.
+    """
+    a_cols = [[row[j] for row in rows] for j in range(n_cols)]
+    u_cols = [[1 if i == j else 0 for i in range(n_cols)] for j in range(n_cols)]
+    free = list(range(n_cols))
+    n_rows = len(rows)
+    for i in range(n_rows):
+        nz = [j for j in free if a_cols[j][i]]
+        if not nz:
+            continue
+        j0 = nz[0]
+        for j in nz[1:]:
+            a0, aj = a_cols[j0][i], a_cols[j][i]
+            g, x, y = xgcd(a0, aj)
+            s, t = a0 // g, aj // g
+            c0a, cja = a_cols[j0], a_cols[j]
+            c0u, cju = u_cols[j0], u_cols[j]
+            a_cols[j0] = [x * p + y * q for p, q in zip(c0a, cja)]
+            a_cols[j] = [-t * p + s * q for p, q in zip(c0a, cja)]
+            u_cols[j0] = [x * p + y * q for p, q in zip(c0u, cju)]
+            u_cols[j] = [-t * p + s * q for p, q in zip(c0u, cju)]
+        free.remove(j0)
+    return [u_cols[j] for j in free]
+
+
+def reduce_mod_lattice(v, basis):
+    """Canonical coset representative of v modulo the lattice spanned by basis.
+
+    The lattice basis is echelonized with pivots at the lowest (largest-index)
+    nonzero coordinate; v is then reduced pivot by pivot to the symmetric
+    residue range, which is a unique representative of the coset.
+    """
+    v = list(v)
+    work = [list(b) for b in basis if any(b)]
+    ech = {}
+    for b in work:
+        while True:
+            p = None
+            for k in range(len(b) - 1, -1, -1):
+                if b[k]:
+                    p = k
+                    break
+            if p is None:
+                break
+            if p not in ech:
+                ech[p] = b if b[p] > 0 else [-x for x in b]
+                break
+            e = ech[p]
+            g, x, y = xgcd(e[p], b[p])
+            s, t = e[p] // g, b[p] // g
+            new_e = [x * p1 + y * q1 for p1, q1 in zip(e, b)]
+            new_b = [s * q1 - t * p1 for p1, q1 in zip(e, b)]
+            ech[p] = new_e if new_e[p] > 0 else [-x1 for x1 in new_e]
+            b = new_b
+    for p in sorted(ech, reverse=True):
+        e = ech[p]
+        h = e[p]
+        rem = v[p] % h
+        if 2 * rem > h:
+            rem -= h
+        q = (v[p] - rem) // h
+        if q:
+            v = [vi - q * ei for vi, ei in zip(v, e)]
+    return v
+
+
+def solve_min_leading(problem):
+    """Optimal integer kernel vector with minimal positive last coordinate.
+
+    The integer kernel lattice is computed exactly; the achievable last
+    coordinates form g*Z for g the gcd of the basis last coordinates, and an
+    extended-gcd combination realizes g. The remaining freedom (the
+    sublattice with last coordinate zero) is fixed by reducing to the
+    canonical symmetric-residue representative, so results are deterministic.
+    """
+    c = problem.c
+    rows = clear_denominators([list(r) for r in problem.a])
+    basis = integer_kernel_basis(rows, c)
+    lasts = [vec[c - 1] for vec in basis]
+    g = 0
+    for v in lasts:
+        g = gcd(g, v)
+    if g == 0:
+        raise AlgorithmError("no integer kernel vector with positive last coordinate")
+    combo = None
+    cur = 0
+    for vec, last in zip(basis, lasts):
+        if not last:
+            continue
+        if combo is None:
+            combo, cur = list(vec), last
+        else:
+            _, x, y = xgcd(cur, last)
+            combo = [x * p + y * q for p, q in zip(combo, vec)]
+            cur = x * cur + y * last
+    if combo[c - 1] < 0:
+        combo = [-v for v in combo]
+    sub = [[vec[k] - (vec[c - 1] // combo[c - 1]) * combo[k] for k in range(c)]
+           for vec in basis]
+    x = reduce_mod_lattice(combo, sub)
+    return tuple(x)

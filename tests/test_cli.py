@@ -108,6 +108,17 @@ def test_compare(sphere_path, tmp_path, capsys):
     assert main(["compare", pz, str(bad)]) == 1
 
 
+def test_compare_rejects_zero_denominator(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    good.write_text("pivot 1 1 2 1\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("pivot 1 1 2 1\npivot 1 1 2 1/0\n")
+    assert main(["compare", str(good), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}:2: ")
+
+
 def test_compare_cb_incremental_vs_rowcancel(cb_path, tmp_path):
     out_i = str(tmp_path / "i")
     out_rc = str(tmp_path / "rc")
@@ -196,6 +207,15 @@ def test_oracle_ilp_refuses_boxes_past_desk_scale(tmp_path, capsys):
     narrow.write_text("-2 -3\n")
     assert main(["oracle", "ilp", str(narrow), "--bound", "50"]) == 0
     assert "min_leading 2" in capsys.readouterr().out
+
+
+def test_oracle_ilp_rejects_zero_denominator(tmp_path, capsys):
+    path = tmp_path / "a.txt"
+    path.write_text("1 1/0\n")
+    assert main(["oracle", "ilp", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad matrix row '1 1/0'")
 
 
 def test_oracle_ilp_refuses_negative_bound(tmp_path, capsys):

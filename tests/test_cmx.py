@@ -1,10 +1,11 @@
+import random
 import time
 import tracemalloc
 
 import pytest
 
 from connsweep import (CmxError, RandomSpec, generate_surface_matrix,
-                       parse_cmx, serialize_cmx)
+                       parse_cmx, random_connection_matrix, serialize_cmx)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_ZERO
 
 SPHERE_TEXT = """\
@@ -130,3 +131,56 @@ def test_large_sparse_input_parses_in_little_memory():
 def test_parse_accepts_stream():
     import io
     assert parse_cmx(io.StringIO(SPHERE_TEXT)) == FIX_SPHERE
+
+
+# hostile tokens: a zero denominator, an integer past any size guard, a
+# non-ASCII digit, signs and forms the grammar does not have, and keywords
+FUZZ_TOKENS = ("1/0", "0/0", "99999999999999999999", "-99999999999999999999/7",
+               "\u0663", "1/\u0663", "-0", "+3", "1/-2", "1.5", "1e3", "#",
+               "CMX", "m", "b", "index", "entry")
+
+
+def _mutate(rng, lines):
+    """One or two random edits of the text's lines: drop, duplicate or swap
+    lines, or replace or insert a token (half the replacements hit a line's
+    last token, an entry's value or an index's chain)."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(lines))
+        edit = rng.randrange(6)
+        if edit == 0 and len(lines) > 1:
+            del lines[i]
+        elif edit == 1:
+            lines.insert(i, lines[i])
+        elif edit == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split()
+            k = len(tokens) - 1 if edit == 5 else rng.randrange(len(tokens) + 1)
+            tokens[k:k + (edit != 4)] = [rng.choice(FUZZ_TOKENS)]
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_cmx_raises_only_cmx_error():
+    """Seeded fuzzing of serialized random and surface matrices: every
+    mutant parses or raises CmxError, each within a time bound."""
+    rng = random.Random(15)
+    texts = [serialize_cmx(random_connection_matrix(RandomSpec(
+        seed=seed, m=rng.randint(2, 20), b=rng.randint(1, 3),
+        style=rng.choice(("grouped", "scattered")),
+        density=rng.uniform(0.3, 0.9), values=(-3, -1, 1, 2, 3))))
+        for seed in range(30)]
+    texts += [serialize_cmx(generate_surface_matrix(seed, sizes))
+              for seed, sizes in enumerate([(2, 3, 2), (4, 6, 3), (8, 12, 6)])]
+    for _ in range(4000):
+        text = _mutate(rng, rng.choice(texts).splitlines())
+        start = time.perf_counter()
+        try:
+            parse_cmx(text)
+        except CmxError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc} on\n{text}")
+        assert time.perf_counter() - start < 0.5, text

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connsweep.linalg import (SparseMatrix, bareiss_det, changed_rows,
-                              clear_denominators, conjugate, exact_div, freeze,
+                              clear_denominators, conjugate, echelon,
+                              exact_div, freeze,
                               frozen_product, identity,
                               integer_kernel_basis, norm, rank,
                               reduce_mod_lattice, thaw, xgcd)
@@ -100,6 +103,41 @@ def test_reduce_mod_lattice_canonical():
     assert reduce_mod_lattice([-5, -7, 1], basis) == [1, -1, 1]
     # coset invariance
     assert reduce_mod_lattice([5 + 4, 7 - 9, 1], basis) == [1, 1, 1]
+
+
+def _minors_gcd(vectors, k):
+    """gcd of the k x k minors of the matrix whose rows are vectors."""
+    width = range(len(vectors[0]) if vectors else 0)
+    return gcd(*(bareiss_det([[v[j] for j in cols] for v in rows])
+                 for rows in combinations(vectors, k)
+                 for cols in combinations(width, k)))
+
+
+def _reduces_to_zero(v, ech):
+    """Whether v is an integer combination of the echelon vectors, read off
+    pivot by pivot from the last."""
+    for p in sorted(ech, reverse=True):
+        q, rem = divmod(v[p], ech[p][p])
+        if rem:
+            return False
+        v = [a - q * e for a, e in zip(v, ech[p])]
+    return not any(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-4, 4), min_size=d, max_size=d), max_size=5)))
+def test_echelon_is_a_basis_of_the_same_lattice(vectors):
+    """echelon's vectors pivot at distinct last nonzero coordinates, are as
+    many as the rank, generate every input vector, and have the inputs'
+    gcd of maximal minors, so they generate the inputs' lattice exactly."""
+    ech = echelon(vectors)
+    for p, e in ech.items():
+        assert e[p] > 0 and not any(e[p + 1:])
+    assert all(_reduces_to_zero(v, ech) for v in vectors)
+    k = rank(vectors)
+    assert len(ech) == k
+    assert _minors_gcd(list(ech.values()), k) == _minors_gcd(vectors, k)
 
 
 # ints and small-denominator fractions, normalized like the matrices' values

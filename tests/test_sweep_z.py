@@ -2,13 +2,17 @@ import pytest
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        InvalidMatrixError, KernelProblem, ConnectionMatrix,
                        marks_on_diagonal, solve_min_leading, sweep_over_z, sweep_z)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_ZERO
-from connsweep.linalg import thaw
+from connsweep.linalg import exact_div, thaw
 from connsweep.oracles import ilp_brute_force
 from connsweep.verify import verify_sweep
+import reference
 from reference import is_identity, kernel_problems, mat_mul, solve_upper_dense
 
 
@@ -65,6 +69,31 @@ def test_solve_min_leading_properties(small_corpus):
                 if witness is not None:
                     assert witness.min_leading % x[-1] == 0
                     assert x[-1] <= witness.min_leading
+
+
+@st.composite
+def small_kernel_problems(draw):
+    """1-5 rows by 1-7 columns of ints and fractions with denominator <= 3."""
+    c = draw(st.integers(1, 7))
+    value = st.builds(exact_div, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    row = st.lists(value, min_size=c, max_size=c)
+    return KernelProblem(draw(st.lists(row, min_size=1, max_size=5)), c)
+
+
+def _solved(solve, problem):
+    try:
+        return solve(problem)
+    except AlgorithmError:
+        return "infeasible"
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_kernel_problems())
+def test_solve_min_leading_matches_reference(problem):
+    """The echelon-based solver returns what the gcd-scan solver it replaced
+    returns, vector for vector, and is infeasible exactly where it was."""
+    assert _solved(solve_min_leading, problem) == \
+        _solved(reference.solve_min_leading, problem)
 
 
 def test_solve_min_leading_infeasible():
