@@ -20,8 +20,8 @@ from fractions import Fraction
 from .core import CmxError, ConnectionMatrix, max_chain_index, require_valid
 
 _TOKEN = re.compile(r"\S+")
-_INT = re.compile(r"[+-]?\d+\Z")
-_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
+_INT = re.compile(r"[+-]?[0-9]+\Z")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
 
 def _logical_lines(text):

@@ -14,17 +14,22 @@ each matrix changed from the one before, as each row's versions
 The pattern check reads each version once; the below-diagonal check reads
 each entry of a version once, where it first lies below the diagonal, and
 each pivot in the versions of its row live after it joins; the final
-checks read each row's last version. So a check costs the entries the
-steps changed plus O(m) per matrix, not O(m^2).
+checks read each row's last version, and the revised run's column checks
+each row where it changes and where it first meets the pivot rows. So a
+check costs the entries the steps changed plus O(m) per matrix.
 
 The product form is evaluated sparsely and exactly. With T = I + N, a link
 holds when Delta^{r+1} + N Delta^{r+1} == Delta^r + Delta^r N. The sides
 can differ only in N's rows, in the rows of Delta^r that meet its row
-support and in the rows Delta^{r+1} changed, so a link compares just
-those. For the running bases the left side is carried from link to link
-by the exact identity P^{r-1} Delta^r = P^{r-2} Delta^{r-1} + P^{r-2}
-(Delta^r - Delta^{r-1}) + (P^{r-1} - P^{r-2}) Delta^r, with P^{-1} = I,
-so a link costs the rows its step changed and keeps its own verdict.
+support and in the rows Delta^{r+1} changed, so a link compares just those,
+and builds no Fraction: row i holds when Delta^r[i] + z equals
+Delta^{r+1}[i], z = (Delta^r N - N Delta^{r+1})[i] summed as unreduced
+(numerator, denominator) pairs and compared cross-multiplied, a few integer
+products per entry the step touched (elsewhere, by value where the entry
+objects differ). The running bases' left side is carried, normalized, by
+the exact identity P^{r-1} Delta^r = P^{r-2} Delta^{r-1} + P^{r-2}
+(Delta^r - Delta^{r-1}) + (P^{r-1} - P^{r-2}) Delta^r, with P^{-1} = I, so
+a link costs the rows its step changed and keeps its own verdict.
 
 Every stored transition obeys one rule (_transition_structure): upper
 triangular within chain groups, a unit diagonal (nonzero for the integer
@@ -35,8 +40,8 @@ read from T - I, or from P^r - P^{r-1} for a running basis.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, count
-from operator import itemgetter, ne
+from itertools import compress, count, repeat
+from operator import is_not, itemgetter, le, ne
 
 from .core import CHANGE_OF_BASIS, PRIMARY, pattern_test, validate
 from .linalg import changed_rows, freeze, identity
@@ -94,6 +99,46 @@ def _right_rows(base, a, d):
     return rows
 
 
+def _ratios(entries):
+    """(j, numerator, denominator) for each (j, v) of entries."""
+    return [(j, v.numerator, v.denominator) for j, v in entries]
+
+
+def _add_terms(sums, c, entries):
+    """sums[j] += c n/d for each (j, n, d) of entries, taking no gcd."""
+    cn, cd = c.numerator, c.denominator
+    for j, n, d in entries:
+        n, d = cn * n, cd * d
+        sn, sd = sums.get(j, (0, d))
+        sums[j] = (sn + n, d) if sd == d else (sn * d + n * sd, sd * d)
+
+
+def _link_holds(a, b, n, changed):
+    """a + a N == b + N b for a = Delta^r, b = Delta^{r+1}, N by its row
+    changes and changed the rows b changed, row i as a[i] + z == b[i] for
+    z = (a N - N b)[i] summed by _add_terms (see the module docstring)."""
+    zs = {i: {} for i in {*n, *changed}}  # row i -> its z
+    for k, entries in n.items():
+        ratios = _ratios(entries)
+        for i in compress(count(), map(itemgetter(k), a)):
+            _add_terms(zs.setdefault(i, {}), a[i][k], ratios)
+    for i, entries in n.items():
+        for k, c in entries:
+            _add_terms(zs[i], -c,
+                       _ratios(zip(compress(count(), b[k]), filter(None, b[k]))))
+    for i, z in zs.items():
+        ai, bi = a[i], b[i]
+        for j, (zn, zd) in z.items():
+            u, v = ai[j], bi[j]
+            an, ad, bn, bd = u.numerator, u.denominator, v.numerator, v.denominator
+            if (an * zd + zn * ad) * bd != bn * ad * zd:
+                return False
+        if bi is not ai and not all(bi[j] == ai[j] for j in set(
+                compress(count(), map(is_not, bi, ai))).difference(z)):
+            return False
+    return True
+
+
 def _basis_steps(bases):
     """P^r - P^{r-1} as row changes for each running basis P^r (P^{-1} = I):
     what each step changed."""
@@ -107,19 +152,13 @@ def _delta0_products(trace, steps):
     Delta^0 P^r = Delta^0 P^{r-1} + Delta^0 (P^r - P^{r-1}), the last term
     from steps (_basis_steps)."""
     delta0 = trace.matrices[0]
-    product = list(delta0)
-    products = []
+    product, products = list(delta0), []
     for step in steps:
         product = list(product)
         for i, row in _right_rows(product, delta0, step).items():
             product[i] = tuple(row)
         products.append(product)
     return products
-
-
-def _trailing_zeros(col):
-    """The number of zeros below the last nonzero of a column."""
-    return len(col) - 1 - max(compress(count(), col), default=-1)
 
 
 def _check(out, name, failures):
@@ -192,12 +231,9 @@ def _transition_structure(out, trace, changes, allowed, unit_diagonal=True):
     changes only what its marks allow: allowed holds (r, (i, j)) pairs,
     None standing for any row or column. changes[r] is T - I (_offsets),
     or P^r - P^{r-1} for a running basis (_basis_steps)."""
-    supports = [set() for _ in changes]
-    for r, position in allowed:
-        supports[r].add(position)
-    bad = []
+    allowed, bad = set(allowed), []
     group_of = trace.matrix.chain_index_map
-    for r, (t, n, support) in enumerate(zip(trace.transitions, changes, supports)):
+    for r, (t, n) in enumerate(zip(trace.transitions, changes)):
         for i, entries in n.items():
             for j, _ in entries:
                 pos = (i + 1, j + 1)
@@ -209,8 +245,8 @@ def _transition_structure(out, trace, changes, allowed, unit_diagonal=True):
                 elif group_of.get(i + 1) != group_of.get(j + 1):
                     bad.append(f"transition {r}: off-diagonal entry at {pos} "
                                "crosses chain groups")
-                elif not (pos in support or (i + 1, None) in support
-                          or (None, j + 1) in support):
+                elif not ((r, pos) in allowed or (r, (i + 1, None)) in allowed
+                          or (r, (None, j + 1)) in allowed):
                     bad.append(f"transition {r}: entry at {pos} outside what the "
                                "marks of its step allow")
     _check(out, "transition_structure", bad)
@@ -240,12 +276,7 @@ def _similarity(out, trace, changed, changes, products=None):
                 bad.append(f"P^{r - 1} Delta^{r} != Delta^0 P^{r - 1}")
     else:
         for r, (n, a, b) in enumerate(zip(changes, mats, mats[1:])):
-            if not (n or changed[r + 1]):
-                continue
-            right = _right_rows(a, a, n)
-            if any(_add_rows(list(b[i]), n.get(i, ()), b)
-                   != (right[i] if i in right else list(a[i]))
-                   for i in {*n, *right, *changed[r + 1]}):
+            if (n or changed[r + 1]) and not _link_holds(a, b, n, changed[r + 1]):
                 bad.append(f"T^{r} Delta^{r + 1} != Delta^{r} T^{r}")
     _check(out, "similarity", bad)
 
@@ -253,14 +284,12 @@ def _similarity(out, trace, changed, changes, products=None):
 def _final_zero_pattern(out, final, nonzeros, marks):
     """Every nonzero of the final matrix (nonzeros: the columns of each
     row's) is a primary pivot or above one."""
-    bad = []
     pivot_row_of_col = _pivot_rows(marks)
-    for i, cols in enumerate(nonzeros, start=1):
-        bad.extend(f"final matrix: nonzero at {(i, j + 1)} not above a primary pivot"
-                   for j in cols if pivot_row_of_col.get(j + 1, 0) < i)
-    for j, i in pivot_row_of_col.items():
-        if not final[i - 1][j - 1]:
-            bad.append(f"final matrix: primary pivot {(i, j)} is zero")
+    bad = [f"final matrix: nonzero at {(i, j + 1)} not above a primary pivot"
+           for i, cols in enumerate(nonzeros, start=1) for j in cols
+           if pivot_row_of_col.get(j + 1, 0) < i]
+    bad.extend(f"final matrix: primary pivot {(i, j)} is zero"
+               for j, i in pivot_row_of_col.items() if not final[i - 1][j - 1])
     _check(out, "final_zero_pattern", bad)
 
 
@@ -365,13 +394,9 @@ def verify_row_cancellation(trace):
     marks = trace.registry.marks
     _below_diagonal_structure(out, versions, marks)
 
-    bad = []
-    pivot_cols = {mk.position[1] for mk in marks}
-    pivot_rows = {mk.position[0] for mk in marks}
-    if pivot_cols & pivot_rows:
-        bad.append(f"indices {sorted(pivot_cols & pivot_rows)} are pivot rows "
-                   "and pivot columns at once")
-    _check(out, "pivot_row_column_exclusion", bad)
+    both = sorted({mk.position[1] for mk in marks} & {mk.position[0] for mk in marks})
+    _check(out, "pivot_row_column_exclusion",
+           [f"indices {both} are pivot rows and pivot columns at once"] if both else [])
 
     row_bad, right_bad = [], []
     for mk in marks:
@@ -385,13 +410,9 @@ def verify_row_cancellation(trace):
     _check(out, "pivot_row_zeroed", row_bad)
     _check(out, "pivot_right_zeroed", right_bad)
 
-    bad = []
-    rows_seen = set()
-    for mk in marks:
-        if mk.position[0] in rows_seen:
-            bad.append(f"two primary pivots in row {mk.position[0]}")
-        rows_seen.add(mk.position[0])
-    _check(out, "row_pivot_uniqueness", bad)
+    rows = [mk.position[0] for mk in marks]
+    _check(out, "row_pivot_uniqueness", [f"two primary pivots in row {i}"
+                                         for n, i in enumerate(rows) if i in rows[:n]])
 
     offsets = _offsets(trace.transitions)
     _transition_structure(out, trace, offsets,
@@ -403,62 +424,68 @@ def verify_row_cancellation(trace):
     return out
 
 
+def _revised_columns(out, mats, marks, changed):
+    """A revised run's column checks from the rows each step changed
+    (changed_rows); step s makes matrix s. Where a row changes, only the
+    entries whose objects differ are read, against the columns marked by
+    step s - 1 and against each column's lowest nonzero row, found anew in
+    matrix s when that row's entry turns zero. Pivot rows descend, so a row
+    is read against the active columns where it first lies at or below a
+    pivot row and wherever it changes after that."""
+    m, steps = len(mats[0]), len(marks)
+    step_of = [steps + 1] * m  # column -> the step that marked it
+    for s, mk in enumerate(marks, 1):
+        step_of[mk.position[1] - 1] = min(step_of[mk.position[1] - 1], s)
+    low, top, zeros = [-1] * m, m, (0,) * m  # low: column -> its lowest nonzero row
+    moved, zeroed, shrunk = {}, [], set()  # moved: frozen column -> last step changing it
+    for s, rows in enumerate(changed):
+        frozen = {j for j, marked in enumerate(step_of) if marked < s}
+        for i in rows:
+            row, prev = mats[s][i], mats[s - 1][i] if s else zeros
+            diff = list(compress(count(), map(is_not, row, prev)))
+            if not frozen.isdisjoint(diff):
+                moved.update((j, s) for j in frozen.intersection(diff) if row[j] != prev[j])
+            for j in compress(diff, map(le, map(low.__getitem__, diff), repeat(i))):
+                if row[j] and low[j] < i:
+                    shrunk.add((s, j))
+                    low[j] = i
+                elif low[j] == i and not row[j]:
+                    low[j] = next((k for k in range(i - 1, -1, -1) if mats[s][k][j]), -1)
+        if 0 < s <= steps:
+            pivot_row = marks[s - 1].position[0]
+            old_top, top = top, min(top, pivot_row - 1)
+            to_read = {*range(top, old_top), *(i for i in rows if i >= top)}
+            if any(step_of[j] > s for i in to_read for j in compress(count(), mats[s][i])):
+                zeroed.append(f"step {s}: active columns not zero from row "
+                              f"{pivot_row} down")
+    _check(out, "pivot_columns_frozen",
+           [f"pivot column {mk.position[1]} changed after being marked"
+            for t, mk in enumerate(marks) if moved.get(mk.position[1] - 1, 0) > t + 1])
+    _check(out, "active_block_zeroed", zeroed)
+    _check(out, "trailing_zeros_monotone", [f"step {s}: trailing zeros of column {j + 1} "
+                                            "decreased" for s, j in sorted(shrunk) if s])
+
+
 def verify_revised(trace):
     """Checks for the revised one-block run: pivot order, frozen pivot
     columns, monotone trailing zeros, transition structure (step t changes
     only the row of mark t's pivot column), similarity, final zero pattern."""
     out = []
     _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
-    m = trace.matrix.m
-    mats = trace.matrices
-    marks = list(trace.registry.marks)
-
-    bad = []
-    for mk in marks:
-        if mk.position[1] <= mk.position[0]:
-            bad.append(f"pivot {mk.position} not above the diagonal")
-    _check(out, "upper_triangular_pivots", bad)
-
-    bad = []
+    mats, marks = trace.matrices, list(trace.registry.marks)
+    _check(out, "upper_triangular_pivots",
+           [f"pivot {mk.position} not above the diagonal" for mk in marks
+            if mk.position[1] <= mk.position[0]])
     rows = [mk.position[0] for mk in marks]
-    if rows != sorted(rows, reverse=True) or len(set(rows)) != len(rows):
-        bad.append(f"pivot rows {rows} not strictly decreasing")
-    _check(out, "pivot_rows_descend", bad)
-
-    # One transpose per matrix serves the three column checks below.
-    marked = {}  # mark index t -> its pivot column in matrix t + 1
-    moved = set()
-    zeroed = []
-    shrunk = []
-    active = set(range(1, m + 1))
-    trailing = None
-    for s, dense in enumerate(mats):
-        cols = list(zip(*dense))
-        for t, col in marked.items():
-            if cols[marks[t].position[1] - 1] != col:
-                moved.add(t)
-        if 0 < s <= len(marks):
-            i_t, j_t = marks[s - 1].position
-            marked[s - 1] = cols[j_t - 1]
-            active.discard(j_t)
-            if any(any(cols[j - 1][i_t - 1:]) for j in active):
-                zeroed.append(f"step {s}: active columns not zero from row "
-                              f"{i_t} down")
-        before, trailing = trailing, [_trailing_zeros(col) for col in cols]
-        if before is not None:
-            shrunk.extend(f"step {s}: trailing zeros of column {j} decreased"
-                          for j, (now, then) in enumerate(zip(trailing, before), 1)
-                          if now < then)
-    _check(out, "pivot_columns_frozen",
-           [f"pivot column {marks[t].position[1]} changed after being marked"
-            for t in sorted(moved)])
-    _check(out, "active_block_zeroed", zeroed)
-    _check(out, "trailing_zeros_monotone", shrunk)
+    _check(out, "pivot_rows_descend", [f"pivot rows {rows} not strictly decreasing"]
+           if rows != sorted(set(rows), reverse=True) else [])
+    changed = list(changed_rows(mats))
+    _revised_columns(out, mats, marks, changed)
 
     offsets = _offsets(trace.transitions)
     _transition_structure(out, trace, offsets,
                           [(t, (mk.position[1], None)) for t, mk in enumerate(marks)])
-    _similarity(out, trace, list(changed_rows(mats)), offsets)
+    _similarity(out, trace, changed, offsets)
     _final_zero_pattern(out, trace.final,
                         [tuple(compress(count(), row)) for row in trace.final], marks)
     return out
@@ -467,26 +494,18 @@ def verify_revised(trace):
 def verify_block_runs(runs, matrix, full_trace):
     """Blockwise finals and marks must match the full run."""
     out = []
-    bad = []
     final = full_trace.final
-    for run in runs:
-        rows = sorted(matrix.partition[run.k - 1])
-        cols = sorted(matrix.partition[run.k])
-        block_final = run.trace.final
-        for i in rows:
-            for j in cols:
-                if final[i - 1][j - 1] != block_final[i - 1][j - 1]:
-                    bad.append(f"block {run.k}: final entry {(i, j)} differs")
-    _check(out, "uncoupling_blocks", bad)
-    bad = []
-    union = set()
-    for run in runs:
-        union |= {(mk.position, mk.kind, mk.value) for mk in run.trace.registry.marks}
+    cols = {run.k: sorted(matrix.partition[run.k]) for run in runs}
+    _check(out, "uncoupling_blocks",
+           [f"block {run.k}: final entry {(i, j)} differs" for run in runs
+            for i in sorted(matrix.partition[run.k - 1]) for j in cols[run.k]
+            if final[i - 1][j - 1] != run.trace.final[i - 1][j - 1]])
+    union = {(mk.position, mk.kind, mk.value)
+             for run in runs for mk in run.trace.registry.marks}
     whole = {(mk.position, mk.kind, mk.value) for mk in full_trace.registry.marks}
-    if union != whole:
-        bad.append(f"marks differ: only blockwise {sorted(union - whole)}, "
-                   f"only full {sorted(whole - union)}")
-    _check(out, "uncoupling_marks", bad)
+    _check(out, "uncoupling_marks",
+           [f"marks differ: only blockwise {sorted(union - whole)}, "
+            f"only full {sorted(whole - union)}"] if union != whole else [])
     return out
 
 

@@ -189,6 +189,44 @@ def pivot_zeroed_verdicts(trace):
                               ("pivot_right_zeroed", right_bad))}
 
 
+def revised_column_verdicts(trace):
+    """{check name: (ok, first failure)} for a revised run's
+    pivot_columns_frozen, active_block_zeroed and trailing_zeros_monotone,
+    every matrix transposed and every column read in full."""
+    m = trace.matrix.m
+    marks = list(trace.registry.marks)
+    marked = {}  # mark index t -> its pivot column in matrix t + 1
+    moved = set()
+    zeroed = []
+    shrunk = []
+    active = set(range(1, m + 1))
+    trailing = None
+    for s, dense in enumerate(trace.matrices):
+        cols = list(zip(*dense))
+        for t, col in marked.items():
+            if cols[marks[t].position[1] - 1] != col:
+                moved.add(t)
+        if 0 < s <= len(marks):
+            i_t, j_t = marks[s - 1].position
+            marked[s - 1] = cols[j_t - 1]
+            active.discard(j_t)
+            if any(any(cols[j - 1][i_t - 1:]) for j in active):
+                zeroed.append(f"step {s}: active columns not zero from row "
+                              f"{i_t} down")
+        before = trailing
+        trailing = [len(col) - 1 - max(compress(count(), col), default=-1)
+                    for col in cols]
+        if before is not None:
+            shrunk.extend(f"step {s}: trailing zeros of column {j} decreased"
+                          for j, (now, then) in enumerate(zip(trailing, before), 1)
+                          if now < then)
+    return {"pivot_columns_frozen": _verdict(
+                [f"pivot column {marks[t].position[1]} changed after being marked"
+                 for t in sorted(moved)]),
+            "active_block_zeroed": _verdict(zeroed),
+            "trailing_zeros_monotone": _verdict(shrunk)}
+
+
 def reduction_steps(trace):
     """(r, surviving, removed pairs, entries) for each stage of
     row_cancel.reduce_complex, every surviving (i, j) pair of the stage's

@@ -73,6 +73,21 @@ def test_entry_errors(mutation, fragment):
     assert err.value.line == 10
 
 
+@pytest.mark.parametrize("line, replacement, fragment", [
+    ("m 4", "m \u0664", "integer"),                          # Arabic-Indic 4
+    ("index 3 1", "index \u0663 1", "integer"),               # Arabic-Indic 3
+    ("entry 1 3 1", "entry 1 3 \u0667/\u0662", "rational"),  # Arabic-Indic 7/2
+])
+def test_non_ascii_digits_rejected(line, replacement, fragment):
+    """int() reads any Unicode decimal digit; the grammar takes 0-9 only."""
+    text = SPHERE_TEXT.replace(line + "\n", replacement + "\n")
+    assert text != SPHERE_TEXT
+    with pytest.raises(CmxError) as err:
+        parse_cmx(text)
+    assert fragment in str(err.value)
+    assert err.value.line == SPHERE_TEXT.splitlines().index(line) + 1
+
+
 def test_header_and_partition_errors():
     with pytest.raises(CmxError):
         parse_cmx("CMX 2\nm 1\nb 0\nindex 1 0\n")

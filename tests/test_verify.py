@@ -17,7 +17,7 @@ from connsweep.linalg import thaw, freeze
 from connsweep.verify import (verify_row_cancellation, verify_sweep,
                               verify_trace)
 from reference import (dense_check_verdicts, pivot_zeroed_verdicts,
-                       similarity_holds)
+                       revised_column_verdicts, similarity_holds)
 
 RUNNERS = {"z": sweep_over_z, "accumulated": sweep_accumulated,
            "incremental": sweep_incremental, "rowcancel": row_cancellation,
@@ -89,8 +89,9 @@ def test_stored_non_minimal_leading_fails_kernel_check(monkeypatch):
 
 @st.composite
 def corrupted_traces(draw, stored=("matrices", "transitions"), algorithms=RUNNERS,
-                     change="add"):
-    """A finished trace of one of the algorithms with one entry of one
+                     change="add", sizes=(3, 9), blocks=(1, 3)):
+    """A finished trace of one of the algorithms, on an m x m input with m
+    in sizes and b in blocks (1 for revised1), with one entry of one
     stored matrix or transition changed; a block trace has it in one of its
     runs. change "add" adds a small value to any entry, "carry" adds it in
     every later matrix that keeps the row too, "zero" zeroes a nonzero
@@ -98,10 +99,10 @@ def corrupted_traces(draw, stored=("matrices", "transitions"), algorithms=RUNNER
     Returns the trace and its sweep traces keyed by their check names'
     prefix ("" unless block)."""
     algorithm = draw(st.sampled_from(sorted(algorithms)))
-    m = draw(st.integers(3, 9))
+    m = draw(st.integers(*sizes))
     matrix = random_connection_matrix(RandomSpec(
         seed=draw(st.integers(0, 10**6)), m=m,
-        b=1 if algorithm == "revised1" else draw(st.integers(1, 3)),
+        b=1 if algorithm == "revised1" else draw(st.integers(*blocks)),
         style=draw(st.sampled_from(("grouped", "scattered"))),
         density=draw(st.floats(0.3, 0.9)), values=tuple(range(-3, 4))))
     trace = RUNNERS[algorithm](matrix)
@@ -140,10 +141,14 @@ def corrupted_traces(draw, stored=("matrices", "transitions"), algorithms=RUNNER
 
 
 @settings(max_examples=150, deadline=None)
-@given(corrupted_traces())
+@given(st.one_of(corrupted_traces(),
+                 corrupted_traces(algorithms=("revised1", "rowcancel"), sizes=(10, 24),
+                                  blocks=(1, 1))))
 def test_similarity_verdict_matches_dense_product(case):
     """The verdict and the first failing link: the running-basis left side
-    carried from link to link names the link the dense product does."""
+    carried from link to link names the link the dense product does, and
+    the cross-multiplied per-link test agrees with Fraction arithmetic on
+    dense one-block runs, whose sums and products outgrow a machine word."""
     trace, sweeps = case
     verdicts = {name: (ok, detail) for name, ok, detail in verify_trace(trace)}
     for prefix, sweep in sweeps.items():
@@ -189,6 +194,19 @@ def test_sparse_checks_match_reading_every_matrix(case):
     for prefix, sweep in sweeps.items():
         for name, verdict in dense_check_verdicts(sweep).items():
             assert got[prefix + name] == verdict, prefix + name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(*(corrupted_traces(stored=("matrices",), algorithms=("revised1",),
+                                    change=change) for change in ("add", "carry", "zero"))))
+def test_revised_column_checks_match_transposing_every_matrix(case):
+    """Reading each row only where a step changed it, and where it first
+    lies at or below a pivot row, gives the verdicts and first failures of
+    transposing every matrix and reading each column in full."""
+    trace, _ = case
+    got = {name: (ok, detail) for name, ok, detail in verify_trace(trace)}
+    for name, verdict in revised_column_verdicts(trace).items():
+        assert got[name] == verdict, name
 
 
 def test_unchanged_row_is_read_at_each_entry_that_falls_below():
