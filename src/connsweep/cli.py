@@ -18,14 +18,14 @@ from . import verify as verify_mod
 from .block_seq import block_sequential_sweep, revised_one_block
 from .cmx import parse_cmx, serialize_cmx
 from .core import (PRIMARY, CmxError, ConnSweepError, InvalidMatrixError,
-                   PreconditionError)
+                   KernelProblem, PreconditionError)
 from .linalg import changed_rows
 from .oracles import RandomSpec, ilp_brute_force, pivot_rank_oracle, \
     random_connection_matrix
 from .row_cancel import (cancellation_schedule, reduce_complex,
                          row_cancellation, smale_cancellation_sweep)
 from .sweep_f import sweep_accumulated, sweep_incremental
-from .sweep_z import KernelProblem, sweep_over_z
+from .sweep_z import sweep_over_z
 from .tu import (DEFAULT_SIZE_GUARD, SurfaceRejection,
                  generate_surface_matrix, is_surface_connection_matrix,
                  is_totally_unimodular, sample_non_tu_witness)
@@ -114,6 +114,8 @@ def _write(path, lines):
 
 
 def _cmd_run(args):
+    if args.reduction and args.algorithm not in ("rowcancel", "smale"):
+        raise PreconditionError("reduction export needs the rowcancel or smale algorithm")
     matrix = _read_matrix(args.input)
     result = _RUNNERS[args.algorithm](matrix)
     outdir = args.output
@@ -137,9 +139,6 @@ def _cmd_run(args):
                 for r, (i, j) in cancellation_schedule(result)])
 
     if args.reduction:
-        if args.algorithm not in ("rowcancel", "smale"):
-            raise PreconditionError(
-                "reduction export needs the rowcancel or smale algorithm")
         red_dir = os.path.join(outdir, "reduction")
         os.makedirs(red_dir, exist_ok=True)
         for step in reduce_complex(result).steps:

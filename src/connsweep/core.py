@@ -290,6 +290,25 @@ class SweepTrace:
         return self.matrices[-1]
 
 
+@dataclass(frozen=True)
+class KernelProblem:
+    """Minimize the last coordinate over integer kernel vectors.
+
+    a holds the relevant rows of the original matrix (rows from the chain
+    group below, restricted to the eligible columns, in increasing column
+    order); the last of the c columns is the one being replaced. Sought is
+    an integral x with a @ x == 0 and minimal x[c-1] >= 1.
+    """
+
+    a: tuple
+    c: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", freeze(self.a))
+        if self.a and len(self.a[0]) != self.c:
+            raise AlgorithmError("kernel problem width disagrees with c")
+
+
 def scan_diagonal(work, rows, r, primary_cols, primary_of_row):
     """Markup rule for diagonal r, swept left to right, over the given rows
     (0-based) of the SparseMatrix work, which hold every nonzero on it.

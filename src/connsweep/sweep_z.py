@@ -21,32 +21,11 @@ holding P^{r-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import (PRIMARY, AlgorithmError, SweepTrace, require_valid,
-                   sweep_diagonals)
+from .core import (PRIMARY, AlgorithmError, KernelProblem, SweepTrace,
+                   require_valid, sweep_diagonals)
 from .linalg import (SparseMatrix, clear_denominators, echelon, exact_div,
                      freeze, frozen_product, identity, integer_kernel_basis,
                      reduce_mod_lattice, solve_upper)
-
-
-@dataclass(frozen=True)
-class KernelProblem:
-    """Minimize the last coordinate over integer kernel vectors.
-
-    a holds the relevant rows of the original matrix (rows from the chain
-    group below, restricted to the eligible columns, in increasing column
-    order); the last of the c columns is the one being replaced. Sought is
-    an integral x with a @ x == 0 and minimal x[c-1] >= 1.
-    """
-
-    a: tuple
-    c: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", freeze(self.a))
-        if self.a and len(self.a[0]) != self.c:
-            raise AlgorithmError("kernel problem width disagrees with c")
 
 
 def solve_min_leading(problem):

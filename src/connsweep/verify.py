@@ -1,6 +1,18 @@
-"""Invariant suites for finished traces.
+"""The invariant suite for finished traces, verify_trace.
 
-Each checker returns (name, passed, detail) triples; the CLI renders them
+Every run gets input_valid, transition_structure, similarity and
+final_zero_pattern, and every diagonal run also pattern_compliance,
+below_diagonal_pivot_structure and final_complementarity. What an
+algorithm adds sits in its place in that one list: the running bases of
+z and accumulated pattern_compliance_product, and z
+kernel_leading_minimality; rowcancel its row checks
+(pivot_row_column_exclusion, pivot_row_zeroed, pivot_right_zeroed,
+row_pivot_uniqueness); revised1 its pivot order (upper_triangular_pivots,
+pivot_rows_descend) and column checks (pivot_columns_frozen,
+active_block_zeroed, trailing_zeros_monotone). A block trace is checked
+against a run on the whole matrix (verify_block_runs), then block by block.
+
+Each check gives a (name, passed, detail) triple; the CLI renders them
 into verify.txt and tests assert on them. Checks recompute everything from
 the stored matrices and transitions, never trusting the algorithm's own
 intermediate state, and share no code with the sweeps: similarity is
@@ -43,10 +55,9 @@ from bisect import bisect_left
 from itertools import compress, count, repeat
 from operator import is_not, itemgetter, le, ne
 
-from .core import CHANGE_OF_BASIS, PRIMARY, pattern_test, validate
+from .core import CHANGE_OF_BASIS, PRIMARY, KernelProblem, pattern_test, validate
 from .linalg import changed_rows, freeze, identity
 from .oracles import ilp_box_fits, ilp_brute_force
-from .sweep_z import KernelProblem
 
 
 def _row_changes(t, base, rows):
@@ -340,42 +351,6 @@ def _kernel_minimality(out, trace, bound=8):
                 f"(box past ILP_MAX_BOX)"))
 
 
-def verify_sweep(trace):
-    """Checks for z / accumulated / incremental sweep traces."""
-    out = []
-    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
-    allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
-    changed = list(changed_rows(trace.matrices))
-    versions = _row_versions(trace.matrices, changed)
-    _pattern_compliance(out, "pattern_compliance", versions, allowed)
-    products = None
-    running = trace.algorithm in ("z", "accumulated")
-    if running:
-        changes = _basis_steps(trace.transitions)
-        products = _delta0_products(trace, changes)
-        _pattern_compliance(out, "pattern_compliance_product",
-                            _row_versions(products, changed_rows(products)), allowed)
-    else:
-        changes = _offsets(trace.transitions)
-    marks = trace.registry.marks
-    _below_diagonal_structure(out, versions, marks)
-    # Mark (i, j) may change column j of P^r, but of T^r only (p, j), (i, p) a pivot.
-    primary_col_of_row = {i: j for j, i in _pivot_rows(marks).items()}
-    _transition_structure(
-        out, trace, changes,
-        [(mk.diagonal, (None if running else primary_col_of_row[mk.position[0]],
-                        mk.position[1]))
-         for mk in marks if mk.kind == CHANGE_OF_BASIS],
-        unit_diagonal=trace.algorithm != "z")
-    _similarity(out, trace, changed, changes, products)
-    nonzeros = [vs[-1][2] for vs in versions]
-    _final_zero_pattern(out, trace.final, nonzeros, marks)
-    _final_complementarity(out, nonzeros)
-    if trace.algorithm == "z":
-        _kernel_minimality(out, trace)
-    return out
-
-
 def _first_nonzero_after(versions, r, lo=0):
     """The first matrix s > r where a row, given its versions, has a
     nonzero in column lo (0-based) or past it, or None."""
@@ -383,21 +358,13 @@ def _first_nonzero_after(versions, r, lo=0):
                  if e > r + 1 and cols and cols[-1] >= lo), None)
 
 
-def verify_row_cancellation(trace):
-    """Structural checks for a row-cancellation trace, item by item."""
-    out = []
-    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
-    allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
-    changed = list(changed_rows(trace.matrices))
-    versions = _row_versions(trace.matrices, changed)
-    _pattern_compliance(out, "pattern_compliance", versions, allowed)
-    marks = trace.registry.marks
-    _below_diagonal_structure(out, versions, marks)
-
+def _row_cancellation(out, versions, marks):
+    """A row-cancellation run's row checks: no index is a pivot row and a
+    pivot column, after its diagonal a pivot (i, j) leaves row j zero and
+    row i zero right of j, and no row holds two pivots."""
     both = sorted({mk.position[1] for mk in marks} & {mk.position[0] for mk in marks})
     _check(out, "pivot_row_column_exclusion",
            [f"indices {both} are pivot rows and pivot columns at once"] if both else [])
-
     row_bad, right_bad = [], []
     for mk in marks:
         i, j = mk.position
@@ -409,19 +376,9 @@ def verify_row_cancellation(trace):
             right_bad.append(f"matrix {s}: entries right of pivot {(i, j)} not zero")
     _check(out, "pivot_row_zeroed", row_bad)
     _check(out, "pivot_right_zeroed", right_bad)
-
     rows = [mk.position[0] for mk in marks]
     _check(out, "row_pivot_uniqueness", [f"two primary pivots in row {i}"
                                          for n, i in enumerate(rows) if i in rows[:n]])
-
-    offsets = _offsets(trace.transitions)
-    _transition_structure(out, trace, offsets,
-                          [(mk.diagonal, (mk.position[1], None)) for mk in marks])
-    _similarity(out, trace, changed, offsets)
-    nonzeros = [vs[-1][2] for vs in versions]
-    _final_zero_pattern(out, trace.final, nonzeros, marks)
-    _final_complementarity(out, nonzeros)
-    return out
 
 
 def _revised_columns(out, mats, marks, changed):
@@ -466,31 +423,6 @@ def _revised_columns(out, mats, marks, changed):
                                             "decreased" for s, j in sorted(shrunk) if s])
 
 
-def verify_revised(trace):
-    """Checks for the revised one-block run: pivot order, frozen pivot
-    columns, monotone trailing zeros, transition structure (step t changes
-    only the row of mark t's pivot column), similarity, final zero pattern."""
-    out = []
-    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
-    mats, marks = trace.matrices, list(trace.registry.marks)
-    _check(out, "upper_triangular_pivots",
-           [f"pivot {mk.position} not above the diagonal" for mk in marks
-            if mk.position[1] <= mk.position[0]])
-    rows = [mk.position[0] for mk in marks]
-    _check(out, "pivot_rows_descend", [f"pivot rows {rows} not strictly decreasing"]
-           if rows != sorted(set(rows), reverse=True) else [])
-    changed = list(changed_rows(mats))
-    _revised_columns(out, mats, marks, changed)
-
-    offsets = _offsets(trace.transitions)
-    _transition_structure(out, trace, offsets,
-                          [(t, (mk.position[1], None)) for t, mk in enumerate(marks)])
-    _similarity(out, trace, changed, offsets)
-    _final_zero_pattern(out, trace.final,
-                        [tuple(compress(count(), row)) for row in trace.final], marks)
-    return out
-
-
 def verify_block_runs(runs, matrix, full_trace):
     """Blockwise finals and marks must match the full run."""
     out = []
@@ -510,19 +442,10 @@ def verify_block_runs(runs, matrix, full_trace):
 
 
 def verify_trace(trace):
-    """Every check for the trace of any run: a SweepTrace, or a BlockTrace.
-
-    A block trace is checked against a run of its runner on the whole
-    matrix, the independent reference for verify_block_runs, and then run
-    by run, each run's check names prefixed with block{k}_.
-    """
+    """Every check for the trace of any run (see the module docstring). A
+    BlockTrace is checked against its runner's run on the whole matrix,
+    then run by run, each run's check names prefixed with block{k}_."""
     algorithm = getattr(trace, "algorithm", None)
-    if algorithm in ("z", "accumulated", "incremental"):
-        return verify_sweep(trace)
-    if algorithm == "rowcancel":
-        return verify_row_cancellation(trace)
-    if algorithm == "revised1":
-        return verify_revised(trace)
     if algorithm == "block":
         out = verify_block_runs(trace.runs, trace.matrix,
                                 trace.runner(trace.matrix))
@@ -530,4 +453,51 @@ def verify_trace(trace):
             out.extend((f"block{run.k}_{name}", ok, detail)
                        for name, ok, detail in verify_trace(run.trace))
         return out
-    raise ValueError(f"no verifier for algorithm {algorithm!r}")
+    if algorithm not in ("z", "accumulated", "incremental", "rowcancel", "revised1"):
+        raise ValueError(f"no verifier for algorithm {algorithm!r}")
+    out = []
+    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
+    mats, marks = trace.matrices, trace.registry.marks
+    changed = list(changed_rows(mats))
+    running, products = algorithm in ("z", "accumulated"), None
+    changes = (_basis_steps if running else _offsets)(trace.transitions)
+    if algorithm == "revised1":
+        _check(out, "upper_triangular_pivots",
+               [f"pivot {mk.position} not above the diagonal" for mk in marks
+                if mk.position[1] <= mk.position[0]])
+        rows = [mk.position[0] for mk in marks]
+        _check(out, "pivot_rows_descend", [f"pivot rows {rows} not strictly decreasing"]
+               if rows != sorted(set(rows), reverse=True) else [])
+        _revised_columns(out, mats, marks, changed)
+        nonzeros = [tuple(compress(count(), row)) for row in trace.final]
+    else:
+        allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
+        versions = _row_versions(mats, changed)
+        _pattern_compliance(out, "pattern_compliance", versions, allowed)
+        if running:
+            products = _delta0_products(trace, changes)
+            _pattern_compliance(out, "pattern_compliance_product",
+                                _row_versions(products, changed_rows(products)), allowed)
+        _below_diagonal_structure(out, versions, marks)
+        if algorithm == "rowcancel":
+            _row_cancellation(out, versions, marks)
+        nonzeros = [vs[-1][2] for vs in versions]
+    # A row-cancelling step t (the diagonal, or the revised run's mark
+    # index) may change row j of T for its pivot (i, j); change-of-basis
+    # mark (i, j) column j of P^r, but of T^r only (p, j), (i, p) a pivot.
+    if algorithm in ("rowcancel", "revised1"):
+        steps = [(t if algorithm == "revised1" else mk.diagonal, (mk.position[1], None))
+                 for t, mk in enumerate(marks)]
+    else:
+        col_of_row = {i: j for j, i in _pivot_rows(marks).items()}
+        steps = [(mk.diagonal, (None if running else col_of_row[mk.position[0]],
+                                mk.position[1]))
+                 for mk in marks if mk.kind == CHANGE_OF_BASIS]
+    _transition_structure(out, trace, changes, steps, unit_diagonal=algorithm != "z")
+    _similarity(out, trace, changed, changes, products)
+    _final_zero_pattern(out, trace.final, nonzeros, marks)
+    if algorithm != "revised1":
+        _final_complementarity(out, nonzeros)
+    if algorithm == "z":
+        _kernel_minimality(out, trace)
+    return out

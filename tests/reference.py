@@ -4,9 +4,16 @@ from itertools import compress, count
 from math import gcd
 
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError, KernelProblem,
-                       allowable_pattern)
-from connsweep.linalg import (clear_denominators, exact_div, identity, norm,
-                              solve_upper, thaw, xgcd)
+                       allowable_pattern, validate)
+from connsweep.core import pattern_test
+from connsweep.linalg import (changed_rows, clear_denominators, exact_div, identity,
+                              norm, solve_upper, thaw, xgcd)
+from connsweep.verify import (_basis_steps, _below_diagonal_structure, _check,
+                              _delta0_products, _final_complementarity,
+                              _final_zero_pattern, _first_nonzero_after,
+                              _kernel_minimality, _offsets, _pattern_compliance,
+                              _pivot_rows, _revised_columns, _row_versions,
+                              _similarity, _transition_structure, verify_block_runs)
 
 
 def dense_of(cm):
@@ -427,3 +434,133 @@ def solve_min_leading(problem):
            for vec in basis]
     x = reduce_mod_lattice(combo, sub)
     return tuple(x)
+
+
+# The per-algorithm suites verify_trace folded into one list of checks, kept
+# as they were as its equivalence oracle; they call verify.py's helpers.
+
+
+def verify_sweep(trace):
+    """Checks for z / accumulated / incremental sweep traces."""
+    out = []
+    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
+    allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
+    changed = list(changed_rows(trace.matrices))
+    versions = _row_versions(trace.matrices, changed)
+    _pattern_compliance(out, "pattern_compliance", versions, allowed)
+    products = None
+    running = trace.algorithm in ("z", "accumulated")
+    if running:
+        changes = _basis_steps(trace.transitions)
+        products = _delta0_products(trace, changes)
+        _pattern_compliance(out, "pattern_compliance_product",
+                            _row_versions(products, changed_rows(products)), allowed)
+    else:
+        changes = _offsets(trace.transitions)
+    marks = trace.registry.marks
+    _below_diagonal_structure(out, versions, marks)
+    # Mark (i, j) may change column j of P^r, but of T^r only (p, j), (i, p) a pivot.
+    primary_col_of_row = {i: j for j, i in _pivot_rows(marks).items()}
+    _transition_structure(
+        out, trace, changes,
+        [(mk.diagonal, (None if running else primary_col_of_row[mk.position[0]],
+                        mk.position[1]))
+         for mk in marks if mk.kind == CHANGE_OF_BASIS],
+        unit_diagonal=trace.algorithm != "z")
+    _similarity(out, trace, changed, changes, products)
+    nonzeros = [vs[-1][2] for vs in versions]
+    _final_zero_pattern(out, trace.final, nonzeros, marks)
+    _final_complementarity(out, nonzeros)
+    if trace.algorithm == "z":
+        _kernel_minimality(out, trace)
+    return out
+
+
+def verify_row_cancellation(trace):
+    """Structural checks for a row-cancellation trace, item by item."""
+    out = []
+    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
+    allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
+    changed = list(changed_rows(trace.matrices))
+    versions = _row_versions(trace.matrices, changed)
+    _pattern_compliance(out, "pattern_compliance", versions, allowed)
+    marks = trace.registry.marks
+    _below_diagonal_structure(out, versions, marks)
+
+    both = sorted({mk.position[1] for mk in marks} & {mk.position[0] for mk in marks})
+    _check(out, "pivot_row_column_exclusion",
+           [f"indices {both} are pivot rows and pivot columns at once"] if both else [])
+
+    row_bad, right_bad = [], []
+    for mk in marks:
+        i, j = mk.position
+        s = _first_nonzero_after(versions[j - 1], mk.diagonal)
+        if s is not None:
+            row_bad.append(f"row {j} not zero in matrix {s} after its pivot")
+        s = _first_nonzero_after(versions[i - 1], mk.diagonal, j)
+        if s is not None:
+            right_bad.append(f"matrix {s}: entries right of pivot {(i, j)} not zero")
+    _check(out, "pivot_row_zeroed", row_bad)
+    _check(out, "pivot_right_zeroed", right_bad)
+
+    rows = [mk.position[0] for mk in marks]
+    _check(out, "row_pivot_uniqueness", [f"two primary pivots in row {i}"
+                                         for n, i in enumerate(rows) if i in rows[:n]])
+
+    offsets = _offsets(trace.transitions)
+    _transition_structure(out, trace, offsets,
+                          [(mk.diagonal, (mk.position[1], None)) for mk in marks])
+    _similarity(out, trace, changed, offsets)
+    nonzeros = [vs[-1][2] for vs in versions]
+    _final_zero_pattern(out, trace.final, nonzeros, marks)
+    _final_complementarity(out, nonzeros)
+    return out
+
+
+def verify_revised(trace):
+    """Checks for the revised one-block run: pivot order, frozen pivot
+    columns, monotone trailing zeros, transition structure (step t changes
+    only the row of mark t's pivot column), similarity, final zero pattern."""
+    out = []
+    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
+    mats, marks = trace.matrices, list(trace.registry.marks)
+    _check(out, "upper_triangular_pivots",
+           [f"pivot {mk.position} not above the diagonal" for mk in marks
+            if mk.position[1] <= mk.position[0]])
+    rows = [mk.position[0] for mk in marks]
+    _check(out, "pivot_rows_descend", [f"pivot rows {rows} not strictly decreasing"]
+           if rows != sorted(set(rows), reverse=True) else [])
+    changed = list(changed_rows(mats))
+    _revised_columns(out, mats, marks, changed)
+
+    offsets = _offsets(trace.transitions)
+    _transition_structure(out, trace, offsets,
+                          [(t, (mk.position[1], None)) for t, mk in enumerate(marks)])
+    _similarity(out, trace, changed, offsets)
+    _final_zero_pattern(out, trace.final,
+                        [tuple(compress(count(), row)) for row in trace.final], marks)
+    return out
+
+
+def verify_trace(trace):
+    """Every check for the trace of any run: a SweepTrace, or a BlockTrace.
+
+    A block trace is checked against a run of its runner on the whole
+    matrix, the independent reference for verify_block_runs, and then run
+    by run, each run's check names prefixed with block{k}_.
+    """
+    algorithm = getattr(trace, "algorithm", None)
+    if algorithm in ("z", "accumulated", "incremental"):
+        return verify_sweep(trace)
+    if algorithm == "rowcancel":
+        return verify_row_cancellation(trace)
+    if algorithm == "revised1":
+        return verify_revised(trace)
+    if algorithm == "block":
+        out = verify_block_runs(trace.runs, trace.matrix,
+                                trace.runner(trace.matrix))
+        for run in trace.runs:
+            out.extend((f"block{run.k}_{name}", ok, detail)
+                       for name, ok, detail in verify_trace(run.trace))
+        return out
+    raise ValueError(f"no verifier for algorithm {algorithm!r}")

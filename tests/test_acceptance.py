@@ -21,7 +21,7 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, RandomSpec,
                        sweep_accumulated, sweep_incremental, sweep_over_z)
 from connsweep.fixtures import FIX_FIG3L, FIX_FIG3R
 from connsweep.linalg import thaw
-from connsweep.verify import verify_block_runs, verify_row_cancellation
+from connsweep.verify import verify_block_runs, verify_trace
 from reference import is_identity, kernel_problems, mat_eq, mat_mul
 
 SURFACE_COUNT = 500
@@ -181,7 +181,7 @@ def general_results():
             if trace.registry.primary_positions() != oracle:
                 failures["ac9"].append(tag + f" ({trace.algorithm})")
 
-        for name, ok, detail in verify_row_cancellation(tr):
+        for name, ok, detail in verify_trace(tr):
             if not ok:
                 failures["ac13"].append(tag + f" ({name}: {detail})")
 

@@ -4,7 +4,7 @@ from connsweep import (PRIMARY, ConnectionMatrix, PreconditionError,
                        block_sequential_sweep, revised_one_block,
                        sweep_incremental)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.verify import verify_block_runs, verify_revised
+from connsweep.verify import verify_block_runs, verify_trace
 
 
 def test_block_sweep_sphere():
@@ -91,5 +91,5 @@ def test_revised_matches_incremental(one_block_corpus):
 
 def test_revised_invariant_suite(one_block_corpus):
     for cm in one_block_corpus[:30]:
-        for name, ok, detail in verify_revised(revised_one_block(cm)):
+        for name, ok, detail in verify_trace(revised_one_block(cm)):
             assert ok, (name, detail)

@@ -68,6 +68,15 @@ def test_run_verify_and_schedule_and_reduction(sphere_path, tmp_path):
     assert "# surviving 1 4" in step2 and "# removed 2 3 diagonal 1" in step2
 
 
+@pytest.mark.parametrize("algorithm", sorted(set(_RUNNERS) - {"rowcancel", "smale"}))
+def test_run_reduction_refused_before_any_work(algorithm, sphere_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "-a", algorithm, sphere_path, "-o", str(out), "--verify",
+                 "--trace", "final", "--reduction"]) == 1
+    assert "reduction export needs" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_run_block_matches_incremental(tmp_path):
     src = str(tmp_path / "r.cmx")
     assert main(["gen", "random", "--seed", "7", "--m", "14", "--b", "3",

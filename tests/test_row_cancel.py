@@ -14,7 +14,7 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        betti_over_q)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
 from connsweep.linalg import SparseMatrix, freeze, identity, thaw
-from connsweep.verify import verify_block_runs, verify_row_cancellation
+from connsweep.verify import verify_block_runs, verify_trace
 from reference import (dense_of, is_identity, mat_mul, ops_product,
                        reduction_steps)
 
@@ -147,7 +147,7 @@ entry 11 16 -1
 
 def test_noncommuting_factors_pass_every_check():
     trace = row_cancellation(parse_cmx(NONCOMMUTING_FACTORS))
-    checks = verify_row_cancellation(trace)
+    checks = verify_trace(trace)
     assert [name for name, ok, _ in checks if not ok] == []
     assert {"pivot_row_zeroed", "similarity",
             "final_complementarity"} <= {name for name, _, _ in checks}
@@ -155,7 +155,7 @@ def test_noncommuting_factors_pass_every_check():
 
 def test_structural_invariants_random(small_corpus):
     for cm in small_corpus[:30]:
-        for name, ok, detail in verify_row_cancellation(row_cancellation(cm)):
+        for name, ok, detail in verify_trace(row_cancellation(cm)):
             assert ok, (name, detail)
 
 

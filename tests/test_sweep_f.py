@@ -9,7 +9,7 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        transition_ops)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
 from connsweep.linalg import freeze, identity, thaw
-from connsweep.verify import verify_sweep
+from connsweep.verify import verify_trace
 from reference import invert_upper, is_identity, mat_mul, ops_product
 
 
@@ -138,7 +138,7 @@ def test_blockwise_update_lemma(small_corpus):
 def test_invariant_suites(small_corpus):
     for cm in small_corpus[:20]:
         for trace in (sweep_incremental(cm), sweep_accumulated(cm)):
-            for name, ok, detail in verify_sweep(trace):
+            for name, ok, detail in verify_trace(trace):
                 assert ok, (trace.algorithm, name, detail)
 
 

@@ -11,7 +11,7 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_ZERO
 from connsweep.linalg import exact_div, thaw
 from connsweep.oracles import ilp_brute_force
-from connsweep.verify import verify_sweep
+from connsweep.verify import verify_trace
 import reference
 from reference import is_identity, kernel_problems, mat_mul, solve_upper_dense
 
@@ -134,7 +134,7 @@ def test_rejects_invalid_matrix():
 
 def test_invariant_suite_on_random(small_corpus):
     for cm in small_corpus[:25]:
-        for name, ok, detail in verify_sweep(sweep_over_z(cm)):
+        for name, ok, detail in verify_trace(sweep_over_z(cm)):
             assert ok, (name, detail)
 
 
@@ -185,6 +185,6 @@ def test_kernel_minimality_counts_the_problems_it_skips():
                           {(1, 4): 1, (1, 5): 2, (2, 3): 1, (2, 9): 1})
     trace = sweep_over_z(cm)
     assert sorted(p.c for p in kernel_problems(trace)) == [3, 7]
-    checks = {name: (ok, detail) for name, ok, detail in verify_sweep(trace)}
+    checks = {name: (ok, detail) for name, ok, detail in verify_trace(trace)}
     assert checks["kernel_leading_minimality"] == (
         True, "1 instances cross-checked, 1 skipped (box past ILP_MAX_BOX)")

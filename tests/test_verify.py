@@ -1,8 +1,10 @@
 """The verification suites must actually catch broken traces, not just
 bless good ones; doctor finished traces and watch the right check fail."""
 
+import ast
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,11 @@ from hypothesis import strategies as st
 from connsweep import (ConnectionMatrix, RandomSpec, block_sequential_sweep,
                        random_connection_matrix, revised_one_block,
                        row_cancellation, sweep_accumulated, sweep_incremental,
-                       sweep_over_z, sweep_z)
+                       sweep_over_z, sweep_z, verify)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE
 from connsweep.linalg import thaw, freeze
-from connsweep.verify import (verify_row_cancellation, verify_sweep,
-                              verify_trace)
+from connsweep.verify import verify_trace
+import reference
 from reference import (dense_check_verdicts, pivot_zeroed_verdicts,
                        revised_column_verdicts, similarity_holds)
 
@@ -52,19 +54,19 @@ def test_all_green_on_good_traces():
 
 def test_pattern_violation_detected():
     bad = doctor_final(sweep_incremental(FIX_SPHERE), 1, 4, 1)
-    names = failing(verify_sweep(bad))
+    names = failing(verify_trace(bad))
     assert "pattern_compliance" in names
 
 
 def test_similarity_violation_detected():
     bad = doctor_final(sweep_incremental(FIX_CB), 1, 3, 7)
-    assert "similarity" in failing(verify_sweep(bad))
+    assert "similarity" in failing(verify_trace(bad))
 
 
 def test_complementarity_violation_detected():
     trace = row_cancellation(FIX_SPHERE)
     bad = doctor_final(trace, 3, 4, 1)
-    names = failing(verify_row_cancellation(bad))
+    names = failing(verify_trace(bad))
     assert "final_complementarity" in names
     assert "pivot_row_zeroed" in names  # the final matrix is checked too
 
@@ -72,8 +74,20 @@ def test_complementarity_violation_detected():
 def test_dead_pivot_detected():
     trace = row_cancellation(FIX_CB)
     bad = doctor_final(trace, 2, 3, 0)
-    names = failing(verify_row_cancellation(bad))
+    names = failing(verify_trace(bad))
     assert "below_diagonal_pivot_structure" in names
+
+
+def test_verify_imports_no_sweep_module():
+    """The checks share no code with the sweeps they check."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)  # from . import sweep_z
+        elif isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert names.isdisjoint({"sweep_f", "sweep_z", "row_cancel", "block_seq"})
 
 
 def test_stored_non_minimal_leading_fails_kernel_check(monkeypatch):
@@ -209,6 +223,18 @@ def test_revised_column_checks_match_transposing_every_matrix(case):
         assert got[name] == verdict, name
 
 
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(*(corrupted_traces(change=change) for change in ("add", "carry", "zero", None)),
+                 corrupted_traces(algorithms=("revised1", "rowcancel"), sizes=(10, 24),
+                                  blocks=(1, 1))))
+def test_one_suite_matches_the_per_algorithm_suites(case):
+    """verify_trace lays out every algorithm's checks in one list; each
+    verdict, first failure and the order match the separate suites it
+    replaced (reference.verify_trace), on good and doctored traces."""
+    trace, _ = case
+    assert verify_trace(trace) == reference.verify_trace(trace)
+
+
 def test_unchanged_row_is_read_at_each_entry_that_falls_below():
     """Row 1 holds a stray (1, 4) in every matrix. The row never changes,
     so the check reads it entry by entry as each falls below the diagonal:
@@ -220,7 +246,7 @@ def test_unchanged_row_is_read_at_each_entry_that_falls_below():
     verdict = (False, "matrix 4: nonzero at (1, 4) below diagonal 4 is neither "
                       "a primary pivot nor above one")
     assert dense_check_verdicts(bad)["below_diagonal_pivot_structure"] == verdict
-    got = {name: (ok, detail) for name, ok, detail in verify_sweep(bad)}
+    got = {name: (ok, detail) for name, ok, detail in verify_trace(bad)}
     assert got["below_diagonal_pivot_structure"] == verdict
 
 
