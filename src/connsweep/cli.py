@@ -22,7 +22,7 @@ from .core import (PRIMARY, CmxError, ConnSweepError, InvalidMatrixError,
 from .linalg import changed_rows
 from .oracles import RandomSpec, ilp_brute_force, pivot_rank_oracle, \
     random_connection_matrix
-from .row_cancel import (cancellation_schedule, reduce_complex,
+from .row_cancel import (cancellation_schedule, reduction_stages,
                          row_cancellation, smale_cancellation_sweep)
 from .sweep_f import sweep_accumulated, sweep_incremental
 from .sweep_z import sweep_over_z
@@ -78,27 +78,28 @@ def _records(trace):
 
 
 def _trace_records(trace, full):
-    lines = []
+    """The records of trace.txt after its header, one at a time, each a
+    list of lines: a block's `block k` and `Jk_pivot_columns` header, or one
+    diagonal's or step's label, marks, transition and (full) matrix."""
     if trace.algorithm == "block":
         for run in trace.runs:
-            lines.append(f"block {run.k}")
-            lines.append("Jk_pivot_columns " +
-                         " ".join(str(c) for c in sorted(run.pivot_columns)))
-            lines.extend(_trace_records(run.trace, full))
-        return lines
+            yield [f"block {run.k}", "Jk_pivot_columns " +
+                   " ".join(str(c) for c in sorted(run.pivot_columns))]
+            yield from _trace_records(run.trace, full)
+        return
     records = list(_records(trace))
     t_lines = _entry_lines([t for _, _, t, _ in records])
     m_lines = _entry_lines([trace.matrices[i] for _, _, _, i in records])
     for label, marks, _, _ in records:
-        lines.append(label)
-        for mk in marks:
-            lines.append(f"mark {mk.kind} {mk.position[0]} {mk.position[1]} {mk.value}")
+        lines = [label]
+        lines.extend(f"mark {mk.kind} {mk.position[0]} {mk.position[1]} {mk.value}"
+                     for mk in marks)
         lines.append("transition")
         lines.extend(next(t_lines))
         if full:
             lines.append("matrix")
             lines.extend(next(m_lines))
-    return lines
+        yield lines
 
 
 def _pivot_lines(registry):
@@ -108,9 +109,13 @@ def _pivot_lines(registry):
     return [f"pivot {r} {i} {j} {v}" for (r, i, j, v) in pivots]
 
 
-def _write(path, lines):
+def _write(path, records):
+    """Write records, each a list of lines, one write per record as it
+    arrives, so that no more than one record's text is held at a time."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + ("\n" if lines else ""))
+        for lines in records:
+            if lines:
+                handle.write("\n".join(lines) + "\n")
 
 
 def _cmd_run(args):
@@ -121,10 +126,10 @@ def _cmd_run(args):
     outdir = args.output
     os.makedirs(outdir, exist_ok=True)
 
-    trace_lines = [f"algorithm {args.algorithm}", f"m {matrix.m}"]
-    trace_lines.extend(_trace_records(result, args.trace == "full"))
-    _write(os.path.join(outdir, "trace.txt"), trace_lines)
-    _write(os.path.join(outdir, "pivots.txt"), _pivot_lines(result.registry))
+    _write(os.path.join(outdir, "trace.txt"),
+           chain([[f"algorithm {args.algorithm}", f"m {matrix.m}"]],
+                 _trace_records(result, args.trace == "full")))
+    _write(os.path.join(outdir, "pivots.txt"), [_pivot_lines(result.registry)])
 
     if args.trace in ("final", "full"):
         final = matrix.with_entries(
@@ -135,20 +140,20 @@ def _cmd_run(args):
 
     if args.schedule:
         _write(os.path.join(outdir, "schedule.txt"),
-               [f"cancel page={r} pivot={i},{j} pair={i - 1},{j - 1}"
-                for r, (i, j) in cancellation_schedule(result)])
+               [[f"cancel page={r} pivot={i},{j} pair={i - 1},{j - 1}"
+                 for r, (i, j) in cancellation_schedule(result)]])
 
     if args.reduction:
         red_dir = os.path.join(outdir, "reduction")
         os.makedirs(red_dir, exist_ok=True)
-        for step in reduce_complex(result).steps:
+        for step in reduction_stages(result):
             lines = [f"# step {step.r}",
                      "# surviving " + " ".join(str(i) for i in step.surviving)]
             for (i, j, xi) in step.removed_pairs:
                 lines.append(f"# removed {i} {j} diagonal {xi}")
             lines.extend(f"entry {i} {j} {v}"
                          for (i, j), v in sorted(step.entries.items()))
-            _write(os.path.join(red_dir, f"step{step.r}.cmx"), lines)
+            _write(os.path.join(red_dir, f"step{step.r}.cmx"), [lines])
 
     status = EXIT_OK
     if args.verify:
@@ -157,7 +162,7 @@ def _cmd_run(args):
             lines.append(f"PASS {name}" if ok else f"FAIL {name}: {detail}")
             if not ok:
                 status = EXIT_VERIFY
-        _write(os.path.join(outdir, "verify.txt"), lines)
+        _write(os.path.join(outdir, "verify.txt"), [lines])
     return status
 
 

@@ -93,9 +93,10 @@ class ReductionTrace:
     steps: tuple
 
 
-def reduce_complex(trace):
-    """Per-stage reduced matrices: each cancelled pair's row and column indices
-    are deleted outright, keeping the original labels on the survivors.
+def reduction_stages(trace):
+    """Per-stage reduced matrices, one stage at a time: each cancelled
+    pair's row and column indices are deleted outright, keeping the
+    original labels on the survivors.
 
     A pivot found on diagonal xi takes effect in the next matrix, so stage r
     reads matrix r of the trace and deletes the pairs of every pivot with
@@ -108,7 +109,7 @@ def reduce_complex(trace):
                      for mk in trace.registry.marks if mk.kind == PRIMARY),
                     key=lambda rec: (rec[2], rec[1]))
     mats = trace.matrices
-    removed, cols, steps = set(), {}, []  # cols: each row's nonzero columns
+    removed, cols = set(), {}  # cols: each row's nonzero columns
     for r, (source, rows) in enumerate(zip(mats, changed_rows(mats))):
         new_pairs = tuple(rec for rec in pivots if rec[2] == r - 1)
         removed.update(idx for i, j, _ in new_pairs for idx in (i, j))
@@ -117,8 +118,12 @@ def reduce_complex(trace):
         surviving = tuple(i for i in range(1, trace.matrix.m + 1) if i not in removed)
         entries = {(i, j): source[i - 1][j - 1]
                    for i in surviving for j in cols[i] if j not in removed}
-        steps.append(ReductionStep(r, surviving, new_pairs, entries))
-    return ReductionTrace(trace.matrix, tuple(steps))
+        yield ReductionStep(r, surviving, new_pairs, entries)
+
+
+def reduce_complex(trace):
+    """Every stage of reduction_stages, held at once."""
+    return ReductionTrace(trace.matrix, tuple(reduction_stages(trace)))
 
 
 def smale_cancellation_sweep(matrix):

@@ -13,12 +13,14 @@ active_block_zeroed, trailing_zeros_monotone). A block trace is checked
 against a run on the whole matrix (verify_block_runs), then block by block.
 
 Each check gives a (name, passed, detail) triple; the CLI renders them
-into verify.txt and tests assert on them. Checks recompute everything from
-the stored matrices and transitions, never trusting the algorithm's own
-intermediate state, and share no code with the sweeps: similarity is
-verified in product form (T Delta^{r+1} == Delta^r T, or P Delta^r ==
-Delta^0 P for the running bases P), never by inverting or replaying a
-change of basis.
+into verify.txt and tests assert on them. A failing check's detail is its
+first failure and how many instances failed (_failed), counted as the
+check reads them: an entry read once while it lasts over many matrices
+counts once. Checks recompute everything from the stored matrices and
+transitions, never trusting the algorithm's own intermediate state, and
+share no code with the sweeps: similarity is verified in product form
+(T Delta^{r+1} == Delta^r T, or P Delta^r == Delta^0 P for the running
+bases P), never by inverting or replaying a change of basis.
 
 Every check reads a stored sequence through linalg.changed_rows, the rows
 each matrix changed from the one before, as each row's versions
@@ -172,8 +174,14 @@ def _delta0_products(trace, steps):
     return products
 
 
+def _failed(failures):
+    """A failing check's detail: its first failure and how many it found."""
+    n = len(failures)
+    return f"{failures[0]} ({n} instance{'s' if n > 1 else ''} failed)"
+
+
 def _check(out, name, failures):
-    out.append((name, not failures, failures[0] if failures else ""))
+    out.append((name, not failures, _failed(failures) if failures else ""))
 
 
 def _row_versions(seq, changed):
@@ -346,7 +354,7 @@ def _kernel_minimality(out, trace, bound=8):
         elif max(abs(v) for v in got) <= bound and got[-1] != witness.min_leading:
             bad.append(f"kernel problem: leading {got[-1]} but the box "
                        f"enumeration reaches {witness.min_leading}")
-    out.append(("kernel_leading_minimality", not bad, bad[0] if bad else
+    out.append(("kernel_leading_minimality", not bad, _failed(bad) if bad else
                 f"{checked} instances cross-checked, {skipped} skipped "
                 f"(box past ILP_MAX_BOX)"))
 

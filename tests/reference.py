@@ -123,7 +123,12 @@ def _nonzeros(dense):
 
 
 def _verdict(bad):
-    return (not bad, bad[0] if bad else "")
+    """(ok, detail) worded as verify words it: the first failure and how
+    many there are."""
+    if not bad:
+        return (True, "")
+    n = len(bad)
+    return (False, f"{bad[0]} ({n} instance{'s' if n > 1 else ''} failed)")
 
 
 def dense_check_verdicts(trace):
@@ -191,9 +196,8 @@ def pivot_zeroed_verdicts(trace):
         s = next((s for s in later if any(mats[s][i - 1][j:])), None)
         if s is not None:
             right_bad.append(f"matrix {s}: entries right of pivot {(i, j)} not zero")
-    return {name: (not bad, bad[0] if bad else "")
-            for name, bad in (("pivot_row_zeroed", row_bad),
-                              ("pivot_right_zeroed", right_bad))}
+    return {"pivot_row_zeroed": _verdict(row_bad),
+            "pivot_right_zeroed": _verdict(right_bad)}
 
 
 def revised_column_verdicts(trace):

@@ -1,5 +1,6 @@
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -66,6 +67,23 @@ def test_run_verify_and_schedule_and_reduction(sphere_path, tmp_path):
         "cancel page=1 pivot=2,3 pair=1,2\n"
     step2 = read(os.path.join(out, "reduction", "step2.cmx"))
     assert "# surviving 1 4" in step2 and "# removed 2 3 diagonal 1" in step2
+
+
+def test_run_writes_artifacts_record_by_record(tmp_path):
+    """trace.txt and the reduction stages are written as they are produced:
+    the whole run, trace and checks included, peaks below twice the size of
+    the trace.txt it writes (joining every line first peaks past 4x)."""
+    source, out = str(tmp_path / "dense96.cmx"), str(tmp_path / "out")
+    assert main(["gen", "random", "--seed", "7", "--m", "96", "--b", "1",
+                 "--density", "0.6", "--values=-3..3", "--out", source]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["run", "-a", "rowcancel", "--trace", "full", "--verify",
+                     "--reduction", "-o", out, source]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * os.path.getsize(os.path.join(out, "trace.txt"))
 
 
 @pytest.mark.parametrize("algorithm", sorted(set(_RUNNERS) - {"rowcancel", "smale"}))

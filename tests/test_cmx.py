@@ -3,6 +3,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connsweep import (CmxError, RandomSpec, generate_surface_matrix,
                        parse_cmx, random_connection_matrix, serialize_cmx)
@@ -35,6 +37,27 @@ def test_round_trip_fixture_matrices():
 def test_round_trip_random(small_corpus):
     for cm in small_corpus:
         assert parse_cmx(serialize_cmx(cm)) == cm
+
+
+@st.composite
+def random_matrices(draw):
+    """Random matrices with b 1-4, either partition style and Fraction
+    entries."""
+    b = draw(st.integers(1, 4))
+    values = draw(st.lists(st.fractions(-4, 4, max_denominator=6).filter(bool),
+                           min_size=1, max_size=4))
+    return random_connection_matrix(RandomSpec(
+        seed=draw(st.integers(0, 2 ** 16)), m=draw(st.integers(b + 1, 16)), b=b,
+        style=draw(st.sampled_from(("grouped", "scattered"))),
+        density=draw(st.floats(0.2, 1.0)), values=tuple(values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_matrices())
+def test_parse_and_serialize_are_inverse(cm):
+    text = serialize_cmx(cm)
+    assert parse_cmx(text) == cm
+    assert serialize_cmx(parse_cmx(text)) == text
 
 
 def test_serialize_is_canonical():

@@ -7,6 +7,7 @@ every row were formatted afresh.
 """
 
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -104,5 +105,6 @@ def test_trace_records_match_naive_formatting(full):
     for runner in ALL_RUNNERS:
         for cm in one_block if runner is revised_one_block else corpus:
             trace = runner(cm)
-            assert _trace_records(trace, full) == trace_lines(trace, full)
+            assert list(chain.from_iterable(_trace_records(trace, full))) == \
+                trace_lines(trace, full)
             del trace

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connsweep import (ConnectionMatrix, RandomSpec, block_sequential_sweep,
+from connsweep import (ConnectionMatrix, RandomSpec, block_sequential_sweep, cli,
                        random_connection_matrix, revised_one_block,
                        row_cancellation, sweep_accumulated, sweep_incremental,
                        sweep_over_z, sweep_z, verify)
+from connsweep.cmx import serialize_cmx
 from connsweep.fixtures import FIX_CB, FIX_SPHERE
 from connsweep.linalg import thaw, freeze
 from connsweep.verify import verify_trace
@@ -24,6 +25,18 @@ from reference import (dense_check_verdicts, pivot_zeroed_verdicts,
 RUNNERS = {"z": sweep_over_z, "accumulated": sweep_accumulated,
            "incremental": sweep_incremental, "rowcancel": row_cancellation,
            "revised1": revised_one_block, "block": block_sequential_sweep}
+
+
+# The dense readings count a failure once in every matrix it persists in;
+# verify counts it once, where it first fails. For these checks only the
+# first failure is compared; for the rest the count is compared too.
+COUNTED_PER_MATRIX = {"pattern_compliance", "pattern_compliance_product",
+                      "below_diagonal_pivot_structure", "active_block_zeroed"}
+
+
+def comparable(name, verdict):
+    ok, detail = verdict
+    return (ok, detail.rsplit(" (", 1)[0]) if name in COUNTED_PER_MATRIX else verdict
 
 
 def failing(checks):
@@ -56,6 +69,23 @@ def test_pattern_violation_detected():
     bad = doctor_final(sweep_incremental(FIX_SPHERE), 1, 4, 1)
     names = failing(verify_trace(bad))
     assert "pattern_compliance" in names
+
+
+def test_fail_line_counts_the_instances(tmp_path, monkeypatch):
+    """Two entries doctored outside the pattern: the detail, and the FAIL
+    line of verify.txt, give the first and count both."""
+    bad = doctor_final(doctor_final(sweep_incremental(FIX_SPHERE), 1, 4, 1), 2, 4, 1)
+    first = "matrix 4 has a nonzero at (1, 4) outside the pattern"
+    got = {name: (ok, detail) for name, ok, detail in verify_trace(bad)}
+    assert got["pattern_compliance"] == (False, f"{first} (2 instances failed)")
+    source = tmp_path / "sphere.cmx"
+    source.write_text(serialize_cmx(FIX_SPHERE), encoding="utf-8")
+    monkeypatch.setitem(cli._RUNNERS, "incremental", lambda matrix: bad)
+    assert cli.main(["run", "-a", "incremental", "--verify", "-o", str(tmp_path),
+                     str(source)]) == cli.EXIT_VERIFY
+    lines = (tmp_path / "verify.txt").read_text(encoding="utf-8").splitlines()
+    assert f"FAIL pattern_compliance: {first} (2 instances failed)" in lines
+    assert "PASS input_valid" in lines
 
 
 def test_similarity_violation_detected():
@@ -98,7 +128,10 @@ def test_stored_non_minimal_leading_fails_kernel_check(monkeypatch):
                         lambda problem: tuple(2 * v for v in solve(problem)))
     trace = sweep_over_z(FIX_CB)
     monkeypatch.undo()
-    assert failing(verify_trace(trace)) == {"kernel_leading_minimality"}
+    checks = verify_trace(trace)
+    assert failing(checks) == {"kernel_leading_minimality"}
+    assert checks[-1][2] == ("kernel problem: leading 4 inconsistent with box "
+                             "minimum 2 (1 instance failed)")
 
 
 @st.composite
@@ -207,7 +240,8 @@ def test_sparse_checks_match_reading_every_matrix(case):
     got = {name: (ok, detail) for name, ok, detail in verify_trace(trace)}
     for prefix, sweep in sweeps.items():
         for name, verdict in dense_check_verdicts(sweep).items():
-            assert got[prefix + name] == verdict, prefix + name
+            assert comparable(name, got[prefix + name]) == \
+                comparable(name, verdict), prefix + name
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,7 +254,7 @@ def test_revised_column_checks_match_transposing_every_matrix(case):
     trace, _ = case
     got = {name: (ok, detail) for name, ok, detail in verify_trace(trace)}
     for name, verdict in revised_column_verdicts(trace).items():
-        assert got[name] == verdict, name
+        assert comparable(name, got[name]) == comparable(name, verdict), name
 
 
 @settings(max_examples=1000, deadline=None)
@@ -244,7 +278,7 @@ def test_unchanged_row_is_read_at_each_entry_that_falls_below():
     bad = dataclasses.replace(trace, matrices=tuple(
         (row,) + mat[1:] for mat in trace.matrices))
     verdict = (False, "matrix 4: nonzero at (1, 4) below diagonal 4 is neither "
-                      "a primary pivot nor above one")
+                      "a primary pivot nor above one (1 instance failed)")
     assert dense_check_verdicts(bad)["below_diagonal_pivot_structure"] == verdict
     got = {name: (ok, detail) for name, ok, detail in verify_trace(bad)}
     assert got["below_diagonal_pivot_structure"] == verdict
