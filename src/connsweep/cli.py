@@ -292,86 +292,104 @@ def _cmd_gen_random(args):
     return EXIT_OK
 
 
-def build_parser():
+_COMMANDS = ("run", "compare", "tu", "surface", "oracle", "gen")
+
+
+# Built per call, and only for the command asked for: a cached parser leaves
+# no garbage to trigger full collections, so CPython's tuple free lists grow.
+def build_parser(command=None):
+    """The parser with only `command`'s subparser when it names one, else
+    with all of them. A subparser's prog, usage, help and errors do not
+    depend on its siblings, and the metavar keeps the top-level usage line
+    (printed for unrecognized arguments) the same."""
+    wanted = (command,) if command in _COMMANDS else _COMMANDS
     parser = argparse.ArgumentParser(
         prog="connsweep",
         description="Sweeping and cancellation algorithms for connection "
                     "matrices, with exact arithmetic throughout.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if len(wanted) > 1 else "{" + ",".join(_COMMANDS) + "}")
 
-    p = sub.add_parser("run", help="run an algorithm on a CMX file")
-    p.add_argument("--algorithm", "-a", required=True, choices=sorted(_RUNNERS))
-    p.add_argument("input", help="CMX input path")
-    p.add_argument("--trace", choices=("pivots", "final", "full"),
-                   default="pivots", help="artifact verbosity")
-    p.add_argument("--output", "-o", default=".", help="output directory")
-    p.add_argument("--verify", action="store_true",
-                   help="run the invariant suite and write verify.txt")
-    p.add_argument("--schedule", action="store_true",
-                   help="write the cancellation schedule")
-    p.add_argument("--reduction", action="store_true",
-                   help="write the reduced matrices (rowcancel/smale)")
-    p.set_defaults(func=_cmd_run)
+    if "run" in wanted:
+        p = sub.add_parser("run", help="run an algorithm on a CMX file")
+        p.add_argument("--algorithm", "-a", required=True, choices=sorted(_RUNNERS))
+        p.add_argument("input", help="CMX input path")
+        p.add_argument("--trace", choices=("pivots", "final", "full"),
+                       default="pivots", help="artifact verbosity")
+        p.add_argument("--output", "-o", default=".", help="output directory")
+        p.add_argument("--verify", action="store_true",
+                       help="run the invariant suite and write verify.txt")
+        p.add_argument("--schedule", action="store_true",
+                       help="write the cancellation schedule")
+        p.add_argument("--reduction", action="store_true",
+                       help="write the reduced matrices (rowcancel/smale)")
+        p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("compare", help="diff two pivot files")
-    p.add_argument("trace_a")
-    p.add_argument("trace_b")
-    p.set_defaults(func=_cmd_compare)
+    if "compare" in wanted:
+        p = sub.add_parser("compare", help="diff two pivot files")
+        p.add_argument("trace_a")
+        p.add_argument("trace_b")
+        p.set_defaults(func=_cmd_compare)
 
-    p_tu = sub.add_parser("tu", help="total unimodularity")
-    tu_sub = p_tu.add_subparsers(dest="subcommand", required=True)
-    p = tu_sub.add_parser("check", help="exhaustive check (sampled when large)")
-    p.add_argument("input")
-    p.add_argument("--guard", type=int, default=DEFAULT_SIZE_GUARD,
-                   help="largest order checked exhaustively")
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_tu_check)
+    if "tu" in wanted:
+        p_tu = sub.add_parser("tu", help="total unimodularity")
+        tu_sub = p_tu.add_subparsers(dest="subcommand", required=True)
+        p = tu_sub.add_parser("check", help="exhaustive check (sampled when large)")
+        p.add_argument("input")
+        p.add_argument("--guard", type=int, default=DEFAULT_SIZE_GUARD,
+                       help="largest order checked exhaustively")
+        p.add_argument("--samples", type=int, default=500)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=_cmd_tu_check)
 
-    p_surface = sub.add_parser("surface", help="surface connection matrices")
-    s_sub = p_surface.add_subparsers(dest="subcommand", required=True)
-    p = s_sub.add_parser("check", help="validate against the surface form")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_surface_check)
-    p = s_sub.add_parser("gen", help="generate a surface connection matrix")
-    p.add_argument("--wells", type=int, required=True)
-    p.add_argument("--saddles", type=int, required=True)
-    p.add_argument("--sources", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--flips", type=int, default=0)
-    p.add_argument("--out", "-o", default=None)
-    p.set_defaults(func=_cmd_surface_gen)
+    if "surface" in wanted:
+        p_surface = sub.add_parser("surface", help="surface connection matrices")
+        s_sub = p_surface.add_subparsers(dest="subcommand", required=True)
+        p = s_sub.add_parser("check", help="validate against the surface form")
+        p.add_argument("input")
+        p.set_defaults(func=_cmd_surface_check)
+        p = s_sub.add_parser("gen", help="generate a surface connection matrix")
+        p.add_argument("--wells", type=int, required=True)
+        p.add_argument("--saddles", type=int, required=True)
+        p.add_argument("--sources", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--density", type=float, default=1.0)
+        p.add_argument("--flips", type=int, default=0)
+        p.add_argument("--out", "-o", default=None)
+        p.set_defaults(func=_cmd_surface_gen)
 
-    p_oracle = sub.add_parser("oracle", help="independent brute-force oracles")
-    o_sub = p_oracle.add_subparsers(dest="subcommand", required=True)
-    p = o_sub.add_parser("pivots", help="pivot positions from rank jumps")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_oracle_pivots)
-    p = o_sub.add_parser("ilp", help="bounded kernel enumeration")
-    p.add_argument("input", help="text file, one matrix row per line")
-    p.add_argument("--bound", type=int, default=10)
-    p.set_defaults(func=_cmd_oracle_ilp)
+    if "oracle" in wanted:
+        p_oracle = sub.add_parser("oracle", help="independent brute-force oracles")
+        o_sub = p_oracle.add_subparsers(dest="subcommand", required=True)
+        p = o_sub.add_parser("pivots", help="pivot positions from rank jumps")
+        p.add_argument("input")
+        p.set_defaults(func=_cmd_oracle_pivots)
+        p = o_sub.add_parser("ilp", help="bounded kernel enumeration")
+        p.add_argument("input", help="text file, one matrix row per line")
+        p.add_argument("--bound", type=int, default=10)
+        p.set_defaults(func=_cmd_oracle_ilp)
 
-    p_gen = sub.add_parser("gen", help="random instances")
-    g_sub = p_gen.add_subparsers(dest="subcommand", required=True)
-    p = g_sub.add_parser("random", help="random boundary matrix")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--style", choices=("grouped", "scattered"), default="grouped")
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--values", default="-1..1")
-    p.add_argument("--sizes", default=None, help="comma list, one per group")
-    p.add_argument("--out", "-o", default=None)
-    p.set_defaults(func=_cmd_gen_random)
+    if "gen" in wanted:
+        p_gen = sub.add_parser("gen", help="random instances")
+        g_sub = p_gen.add_subparsers(dest="subcommand", required=True)
+        p = g_sub.add_parser("random", help="random boundary matrix")
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--b", type=int, required=True)
+        p.add_argument("--style", choices=("grouped", "scattered"), default="grouped")
+        p.add_argument("--density", type=float, default=0.5)
+        p.add_argument("--values", default="-1..1")
+        p.add_argument("--sizes", default=None, help="comma list, one per group")
+        p.add_argument("--out", "-o", default=None)
+        p.set_defaults(func=_cmd_gen_random)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (CmxError, InvalidMatrixError, PreconditionError, ValueError) as exc:

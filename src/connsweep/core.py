@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .linalg import (SparseMatrix, as_exact, conjugate, freeze, frozen_product,
-                     identity)
+                     unit_matrix)
 
 Position = tuple[int, int]
 
@@ -372,7 +372,7 @@ def sweep_diagonals(matrix, change_of_basis):
 
 def frozen_transitions(m, op_lists):
     """The frozen product of each op list, all on one frozen identity."""
-    units = freeze(identity(m))
+    units = unit_matrix(m)
     cols = [(j,) for j in range(m)]
     return tuple(frozen_product(SparseMatrix(units, cols), ops) if ops else units
                  for ops in op_lists)

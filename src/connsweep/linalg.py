@@ -12,6 +12,7 @@ reads that sharing back. Integer lattices go through echelon alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, count
 from math import gcd, lcm
 from operator import is_not
@@ -66,6 +67,13 @@ def identity(n):
 
 def freeze(a):
     return tuple(tuple(row) for row in a)
+
+
+@lru_cache(maxsize=1)
+def unit_matrix(n):
+    """freeze(identity(n)), one object for the runs and checks of one size:
+    its rows are tuples, so every trace that starts from it can share them."""
+    return freeze(identity(n))
 
 
 def thaw(a):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .core import (PRIMARY, AlgorithmError, SweepTrace, frozen_transitions,
                    require_valid, sweep_diagonals)
-from .linalg import SparseMatrix, cancel_ops, freeze, frozen_product, identity
+from .linalg import SparseMatrix, cancel_ops, frozen_product, unit_matrix
 
 
 def transition_ops(delta_r, cb_positions, primary_of_row):
@@ -61,6 +61,6 @@ def sweep_accumulated(matrix):
     -delta[i][j]/delta[i][p] at the primary column: P^{r-1} T^r, from T^r's ops.
     """
     matrices, op_lists, registry = _sweep(matrix)
-    basis = SparseMatrix(freeze(identity(matrix.m)))
+    basis = SparseMatrix(unit_matrix(matrix.m))
     return SweepTrace("accumulated", matrix, tuple(matrices),
                       tuple(frozen_product(basis, ops) for ops in op_lists), registry)

@@ -24,8 +24,8 @@ from __future__ import annotations
 from .core import (PRIMARY, AlgorithmError, KernelProblem, SweepTrace,
                    require_valid, sweep_diagonals)
 from .linalg import (SparseMatrix, clear_denominators, echelon, exact_div,
-                     freeze, frozen_product, identity, integer_kernel_basis,
-                     reduce_mod_lattice, solve_upper)
+                     frozen_product, integer_kernel_basis, reduce_mod_lattice,
+                     solve_upper, unit_matrix)
 
 
 def solve_min_leading(problem):
@@ -51,7 +51,7 @@ def sweep_over_z(matrix):
     """Integer sweeping; the trace's transitions are the running bases P^r."""
     require_valid(matrix)
     m = matrix.m
-    basis = SparseMatrix(freeze(identity(m)))
+    basis = SparseMatrix(unit_matrix(m))
     bases = [basis.frozen]  # P^0, ..., P^r so far
 
     def integer_min_ops(work, found, primary_of_row):

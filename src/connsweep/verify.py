@@ -58,7 +58,7 @@ from itertools import compress, count, repeat
 from operator import is_not, itemgetter, le, ne
 
 from .core import CHANGE_OF_BASIS, PRIMARY, KernelProblem, pattern_test, validate
-from .linalg import changed_rows, freeze, identity
+from .linalg import changed_rows, unit_matrix
 from .oracles import ilp_box_fits, ilp_brute_force
 
 
@@ -73,7 +73,7 @@ def _row_changes(t, base, rows):
 def _offsets(transitions):
     """T - I as row changes for each transition T; a row that did not
     change from the T before keeps the change found for it there."""
-    units = freeze(identity(len(transitions[0]))) if transitions else ()
+    units = unit_matrix(len(transitions[0])) if transitions else ()
     n, out = {}, []
     for t, rows in zip(transitions, changed_rows(transitions, units)):
         if rows:
@@ -155,7 +155,7 @@ def _link_holds(a, b, n, changed):
 def _basis_steps(bases):
     """P^r - P^{r-1} as row changes for each running basis P^r (P^{-1} = I):
     what each step changed."""
-    units = freeze(identity(len(bases[0])))
+    units = unit_matrix(len(bases[0]))
     return [_row_changes(p, prev, rows) for prev, p, rows
             in zip((units, *bases), bases, changed_rows(bases, units))]
 
@@ -280,7 +280,7 @@ def _similarity(out, trace, changed, changes, products=None):
     mats = trace.matrices
     if products is not None:
         left, differ = list(mats[0]), set()  # P^{r-1} Delta^r, rows off Delta^0 P^{r-1}
-        bases = (freeze(identity(len(left))), *trace.transitions)
+        bases = (unit_matrix(len(left)), *trace.transitions)
         for r, product, moved in zip(range(1, len(mats)), products,
                                      changed_rows(products, mats[0])):
             if changed[r] or changes[r - 1]:  # else both sides are as before

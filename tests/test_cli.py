@@ -1,3 +1,4 @@
+import argparse
 import os
 import time
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import pytest
 
 from connsweep import AlgorithmError
-from connsweep.cli import EXIT_INTERNAL, _RUNNERS, main
+from connsweep.cli import EXIT_INTERNAL, _RUNNERS, build_parser, main
 from connsweep.cmx import parse_cmx, serialize_cmx
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_ZERO
 
@@ -291,3 +292,46 @@ def test_exit_code_internal_error_differs_from_verify(cb_path, tmp_path,
     assert main(["run", "-a", "incremental", cb_path, "-o", out]) == EXIT_INTERNAL
     assert EXIT_INTERNAL == 4
     assert "internal error: planted invariant failure" in capsys.readouterr().err
+
+
+def _exit_and_output(call, capsys):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["run"], ["run", "-h"], ["run", "-a", "nope", "x"],
+    ["run", "--algorithm"], ["run", "-a", "z", "x", "--bogus"], ["tu"],
+    ["tu", "check", "-h"], ["surface", "bogus"], ["surface", "gen", "-h"],
+    ["oracle"], ["oracle", "ilp", "f", "--bound", "x"], ["gen"],
+    ["gen", "random", "--seed", "1"], ["compare", "a"],
+], ids=" ".join)
+def test_one_command_parser_behaves_as_the_full_one(argv, monkeypatch, capsys):
+    """main builds only the named subcommand's parser; its help, usage
+    errors and exit codes are those of the parser with every subcommand
+    (`run ... --bogus` is reported by the top-level parser)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _exit_and_output(lambda: build_parser().parse_args(argv), capsys)
+    assert _exit_and_output(lambda: main(list(argv)), capsys) == full
+    assert full[0] in (0, 2)
+
+
+def test_run_builds_only_its_own_parser(sphere_path, tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["run", "-a", "incremental", sphere_path,
+                 "-o", str(tmp_path / "out")]) == 0
+    assert len(built) == 2
+    built.clear()
+    build_parser()
+    assert len(built) == 13

@@ -1,6 +1,8 @@
 """Metamorphic pivot tests: the primary pivots are read off the rank profile
 of the filtered complex, so no sweep may move them under a change of basis
-that keeps the filtration, or under nonzero row and column scaling."""
+that keeps the filtration, or under nonzero row and column scaling. The
+inputs have one to three blocks; revised1 runs only on the one-block ones,
+since it requires a single nonzero block."""
 
 from fractions import Fraction
 
@@ -20,20 +22,22 @@ SCALES = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
 
 
 @st.composite
-def one_block_matrices(draw):
+def matrices(draw):
+    b = draw(st.integers(1, 3))
     return random_connection_matrix(RandomSpec(
-        seed=draw(st.integers(0, 10**6)), m=draw(st.integers(3, 12)), b=1,
+        seed=draw(st.integers(0, 10**6)), m=draw(st.integers(b + 2, 14)), b=b,
         style=draw(st.sampled_from(("grouped", "scattered"))),
         density=draw(st.floats(0.3, 0.9)), values=tuple(range(-3, 4))))
 
 
 def pivots(matrix):
     return {name: run(matrix).registry.primary_positions()
-            for name, run in RUNNERS.items()}
+            for name, run in RUNNERS.items()
+            if name != "revised1" or matrix.b == 1}
 
 
 @settings(max_examples=60, deadline=None)
-@given(one_block_matrices(), st.data())
+@given(matrices(), st.data())
 def test_pivots_survive_a_change_of_basis_within_a_chain_group(matrix, data):
     """Conjugate by I + c E_{a,b}, a < b in one chain group, through
     linalg.conjugate as random_connection_matrix applies it."""
@@ -50,7 +54,7 @@ def test_pivots_survive_a_change_of_basis_within_a_chain_group(matrix, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(one_block_matrices(), st.data())
+@given(matrices(), st.data())
 def test_pivots_survive_row_and_column_scaling(matrix, data):
     scale = st.lists(st.sampled_from(SCALES), min_size=matrix.m, max_size=matrix.m)
     rows, cols = data.draw(scale), data.draw(scale)
