@@ -140,6 +140,6 @@ def serialize_cmx(matrix):
     out = [f"CMX 1", f"m {matrix.m}", f"b {matrix.b}"]
     for col in range(1, matrix.m + 1):
         out.append(f"index {col} {matrix.chain_index(col)}")
-    for (i, j), v in matrix.nonzero():
+    for (i, j), v in sorted(matrix.entries.items()):
         out.append(f"entry {i} {j} {v}")
     return "\n".join(out) + "\n"

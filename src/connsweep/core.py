@@ -2,14 +2,18 @@
 
 All indices visible here are 1-based; dense row lists used internally are
 0-based and converted at the boundary. Every type is an immutable value and
-every operation is pure, so everything is safe to share across tasks.
+every operation is pure, so everything is safe to share across tasks. The
+input is read densely only through ConnectionMatrix.block, one kept view of
+each chain block J_{k-1} x J_k, and kernel_problem, its integer cut.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 from .linalg import (SparseMatrix, as_exact, conjugate, freeze, frozen_product,
                      unit_matrix)
@@ -106,9 +110,6 @@ class ConnectionMatrix:
     def chain_index(self, idx):
         return self.chain_index_map.get(idx)
 
-    def entry(self, i, j):
-        return self.entries.get((i, j), 0)
-
     def sparse(self):
         """The matrix as a linalg.SparseMatrix, built from the entries; the
         rows without one share one zero row. Entries must be in range."""
@@ -120,18 +121,33 @@ class ConnectionMatrix:
         return SparseMatrix(tuple(tuple(rows[i]) if i in rows else zero
                                   for i in range(self.m)), cols)
 
+    @cached_property
+    def _blocks(self):
+        by_row = {}
+        for (i, j), v in self.entries.items():
+            by_row.setdefault(i, {})[j] = v
+        blocks = []
+        for below, part in zip(self.partition, self.partition[1:]):
+            rows, cols = tuple(sorted(below)), tuple(sorted(part))
+            blocks.append((rows, cols, tuple(
+                tuple(map(by_row.get(i, {}).get, cols, repeat(0))) for i in rows)))
+        return blocks
+
     def block(self, k):
-        """Rows J_{k-1}, columns J_k (both sorted) and the dense block."""
-        rows = sorted(self.partition[k - 1])
-        cols = sorted(self.partition[k])
-        dense = [[self.entry(i, j) for j in cols] for i in rows]
-        return rows, cols, dense
+        """Rows J_{k-1}, columns J_k (sorted) and the dense block as row tuples:
+        the input's one dense view, built once and kept; other entries are left out."""
+        return self._blocks[k - 1]
+
+    def kernel_problem(self, i, j):
+        """(columns, KernelProblem) of a change-of-basis mark (i, j): block
+        k's rows from i down and its columns up to j, k the chain index of j."""
+        rows, cols, dense = self.block(self.chain_index(j))
+        c = bisect_right(cols, j)
+        return cols[:c], KernelProblem(
+            tuple(row[:c] for row in dense[bisect_left(rows, i):]), c)
 
     def with_entries(self, entries):
         return ConnectionMatrix(self.m, self.partition, dict(entries))
-
-    def nonzero(self):
-        return sorted(self.entries.items())
 
 
 def allowable_pattern(partition, m):
@@ -294,10 +310,9 @@ class SweepTrace:
 class KernelProblem:
     """Minimize the last coordinate over integer kernel vectors.
 
-    a holds the relevant rows of the original matrix (rows from the chain
-    group below, restricted to the eligible columns, in increasing column
-    order); the last of the c columns is the one being replaced. Sought is
-    an integral x with a @ x == 0 and minimal x[c-1] >= 1.
+    a holds rows of the input (ConnectionMatrix.kernel_problem's cut); the
+    last of the c columns is the one being replaced. Sought is an integral
+    x with a @ x == 0 and minimal x[c-1] >= 1.
     """
 
     a: tuple

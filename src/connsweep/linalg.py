@@ -3,10 +3,10 @@
 Matrices are lists of row lists, or row tuples once frozen. Values are
 Python ints wherever possible and fractions.Fraction otherwise, so every
 operation is exact. Nothing here knows about chain partitions; callers
-slice blocks out themselves. Changes of basis are lists of elementary ops,
-applied by conjugate and multiplied out by frozen_product, both on a
-SparseMatrix whose snapshots share unchanged rows; changed_rows alone
-reads that sharing back. Integer lattices go through echelon alone.
+pass blocks in. Changes of basis are lists of elementary ops, applied by
+conjugate and multiplied out by frozen_product, both on a SparseMatrix
+whose snapshots share unchanged rows; changed_rows alone reads that
+sharing back. Integer lattices go through echelon alone, once each.
 """
 
 from __future__ import annotations
@@ -338,29 +338,30 @@ def echelon(vectors):
 
 
 def integer_kernel_basis(rows, n_cols):
-    """Basis of the lattice {x in Z^n : rows @ x == 0} for integer rows.
+    """Echelon basis {pivot: vector} of {x in Z^n : rows @ x == 0}.
 
     The vectors (e_j, column j of rows) generate {(x, rows @ x)}; of their
     echelon basis, those pivoting among the first n coordinates have
     rows @ x == 0 and generate the whole integer kernel, not merely a
-    finite-index sublattice.
+    finite-index sublattice; zero past their pivots, they stay in echelon
+    form cut to n coordinates.
     """
     ech = echelon([e_j + [row[j] for row in rows]
                    for j, e_j in enumerate(identity(n_cols))])
-    return [ech[p][:n_cols] for p in sorted(ech) if p < n_cols]
+    return {p: e[:n_cols] for p, e in ech.items() if p < n_cols}
 
 
-def reduce_mod_lattice(v, basis):
-    """Canonical coset representative of v modulo the lattice spanned by basis.
+def reduce_mod_lattice(v, ech):
+    """Canonical coset representative of v modulo the lattice of ech, an
+    echelon basis {pivot: vector} as echelon returns it.
 
-    v is reduced by echelon(basis), pivot by pivot from the last, to the
-    symmetric residue range (-h/2, h/2] of each pivot h. Two such
-    representatives of one coset differ by a lattice vector whose last
-    nonzero coordinate is a pivot's, a multiple of h smaller than h, so
-    zero: the representative depends on the lattice alone.
+    v is reduced pivot by pivot from the last, to the symmetric residue
+    range (-h/2, h/2] of each pivot h. Two such representatives of one
+    coset differ by a lattice vector whose last nonzero coordinate is a
+    pivot's, a multiple of h smaller than h, so zero: the representative
+    depends on the lattice alone.
     """
     v = list(v)
-    ech = echelon(basis)
     for p in sorted(ech, reverse=True):
         e = ech[p]
         h = e[p]

@@ -117,24 +117,21 @@ def random_connection_matrix(spec):
 def pivot_rank_oracle(matrix):
     """Primary-pivot positions from rank jumps, block by block.
 
-    Block k is taken with the rows of the previous block's pivot columns
-    zeroed (mirroring the block-sequential discipline). Local position
-    (i, j) is a pivot iff the rank of the rows-i-down, columns-up-to-j
-    corner exceeds each of its two neighbors by exactly one, which is the
-    elimination-order-free description of the column-echelon pairing.
+    Block k (ConnectionMatrix.block, left as it is) is read with the rows
+    of the previous block's pivot columns taken as zero rows (mirroring the
+    block-sequential discipline). Local position (i, j) is a pivot iff the
+    rank of the rows-i-down, columns-up-to-j corner exceeds each of its two
+    neighbors by exactly one, which is the elimination-order-free
+    description of the column-echelon pairing.
     """
     require_valid(matrix)
     pivots = set()
     prev_pivot_cols = set()
     for k in range(1, matrix.b + 1):
-        rows = sorted(matrix.partition[k - 1])
-        cols = sorted(matrix.partition[k])
-        if not rows or not cols:
-            prev_pivot_cols = set()
-            continue
-        block = [[0 if i in prev_pivot_cols else matrix.entry(i, j)
-                  for j in cols] for i in rows]
+        rows, cols, block = matrix.block(k)
         nr, nc = len(rows), len(cols)
+        block = [(0,) * nc if i in prev_pivot_cols else row
+                 for i, row in zip(rows, block)]
         # table[i][j] = rank of block rows i.. (0-based), columns < j
         table = [prefix_ranks(block[i:], nc) for i in range(nr + 1)]
         block_pivots = set()

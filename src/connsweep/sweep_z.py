@@ -4,8 +4,9 @@ Same diagonal sweep and markup as the rational variants, but each
 change-of-basis pivot is resolved by an integer minimization: replace the
 pivot's basis column with the integer combination of columns of the same
 chain index that zeroes the pivot and everything below it with the least
-positive leading coefficient, read off linalg.echelon's form of the
-kernel lattice. The combination is integral; the matrices may not be.
+positive leading coefficient: ConnectionMatrix.kernel_problem cuts the
+problem, and one linalg.echelon pass solves it. The combination is
+integral; the matrices may not be.
 
 The trace keeps the running basis P^r, whose column j is the combination
 found for a pivot in column j. The working matrix moves by
@@ -21,30 +22,29 @@ holding P^{r-1}.
 
 from __future__ import annotations
 
-from .core import (PRIMARY, AlgorithmError, KernelProblem, SweepTrace,
-                   require_valid, sweep_diagonals)
-from .linalg import (SparseMatrix, clear_denominators, echelon, exact_div,
-                     frozen_product, integer_kernel_basis, reduce_mod_lattice,
-                     solve_upper, unit_matrix)
+from .core import PRIMARY, AlgorithmError, SweepTrace, require_valid, sweep_diagonals
+from .linalg import (SparseMatrix, clear_denominators, exact_div, frozen_product,
+                     integer_kernel_basis, reduce_mod_lattice, solve_upper,
+                     unit_matrix)
 
 
 def solve_min_leading(problem):
     """Optimal integer kernel vector with minimal positive last coordinate.
 
-    The integer kernel lattice is computed exactly and put in echelon form
-    (linalg.echelon). The achievable last coordinates form hZ for h the
-    pivot at c-1, so the vector pivoting there has the minimal positive
-    leading coefficient. The remaining freedom, the other echelon vectors
-    (those with last coordinate zero), is fixed by reducing to the
-    canonical symmetric-residue representative, so results are
-    deterministic.
+    integer_kernel_basis gives the integer kernel lattice exactly, in one
+    linalg.echelon pass and in its echelon form. The achievable last
+    coordinates form hZ for h the pivot at c-1, so the vector pivoting
+    there has the minimal positive leading coefficient. The remaining
+    freedom, the other echelon vectors (those with last coordinate zero),
+    is fixed by reducing to the canonical symmetric-residue representative,
+    so results are deterministic.
     """
     c = problem.c
-    ech = echelon(integer_kernel_basis(clear_denominators(problem.a), c))
+    ech = integer_kernel_basis(clear_denominators(problem.a), c)
     lead = ech.pop(c - 1, None)
     if lead is None:
         raise AlgorithmError("no integer kernel vector with positive last coordinate")
-    return tuple(reduce_mod_lattice(lead, ech.values()))
+    return tuple(reduce_mod_lattice(lead, ech))
 
 
 def sweep_over_z(matrix):
@@ -59,12 +59,7 @@ def sweep_over_z(matrix):
         for i, j, kind in reversed(found):
             if kind == PRIMARY:
                 continue
-            k = matrix.chain_index(j)
-            rows_i = sorted(a for a in matrix.partition[k - 1] if a >= i)
-            cols_j = sorted(col for col in matrix.partition[k] if col <= j)
-            problem = KernelProblem(
-                [[matrix.entry(row, col) for col in cols_j] for row in rows_i],
-                len(cols_j))
+            cols_j, problem = matrix.kernel_problem(i, j)
             x = [0] * m
             for col, xv in zip(cols_j, solve_min_leading(problem)):
                 x[col - 1] = xv

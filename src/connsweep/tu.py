@@ -58,11 +58,7 @@ def is_totally_unimodular(matrix, *, size_guard=DEFAULT_SIZE_GUARD):
     for v in matrix.entries.values():
         if v not in (-1, 0, 1):
             return False
-    for k in range(1, matrix.b + 1):
-        _, _, block = matrix.block(k)
-        if block and block[0] and not _dense_is_tu(block):
-            return False
-    return True
+    return all(_dense_is_tu(matrix.block(k)[2]) for k in range(1, matrix.b + 1))
 
 
 @dataclass(frozen=True)
@@ -168,19 +164,20 @@ def is_surface_connection_matrix(matrix):
     for (i, j), v in sorted(matrix.entries.items()):
         if v not in (-1, 0, 1):
             return SurfaceRejection("i", f"entry at ({i}, {j}) is {v}, not 0 or ±1")
-    wells, saddles, sources = (sorted(p) for p in matrix.partition)
+    wells, saddles, well_block = matrix.block(1)
+    _, sources, source_block = matrix.block(2)
 
     col_pairs = {}
-    for s in saddles:
-        nz = [(w, matrix.entry(w, s)) for w in wells if matrix.entry(w, s)]
+    for s, col in zip(saddles, zip(*well_block)):
+        nz = [(w, v) for w, v in zip(wells, col) if v]
         if len(nz) not in (0, 2):
             return SurfaceRejection(
                 "iii", f"column {s} has {len(nz)} nonzero entries, needs 0 or 2")
         if nz:
             col_pairs[s] = (nz[0], nz[1])
     row_pairs = {}
-    for s in saddles:
-        nz = [(o, matrix.entry(s, o)) for o in sources if matrix.entry(s, o)]
+    for s, row in zip(saddles, source_block):
+        nz = [(o, v) for o, v in zip(sources, row) if v]
         if len(nz) not in (0, 2):
             return SurfaceRejection(
                 "iv", f"row {s} has {len(nz)} nonzero entries, needs 0 or 2")
@@ -299,9 +296,6 @@ def betti_over_q(matrix):
     H_k = |J_k| - rank d_k - rank d_{k+1}, missing blocks counting zero.
     """
     require_valid(matrix)
-    ranks = [0] * (matrix.b + 2)
-    for k in range(1, matrix.b + 1):
-        _, _, block = matrix.block(k)
-        ranks[k] = rank(block)
+    ranks = [0] + [rank(matrix.block(k)[2]) for k in range(1, matrix.b + 1)] + [0]
     return tuple(len(matrix.partition[k]) - ranks[k] - ranks[k + 1]
                  for k in range(matrix.b + 1))

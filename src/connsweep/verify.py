@@ -57,7 +57,7 @@ from bisect import bisect_left
 from itertools import compress, count, repeat
 from operator import is_not, itemgetter, le, ne
 
-from .core import CHANGE_OF_BASIS, PRIMARY, KernelProblem, pattern_test, validate
+from .core import CHANGE_OF_BASIS, PRIMARY, pattern_test, validate
 from .linalg import changed_rows, unit_matrix
 from .oracles import ilp_box_fits, ilp_brute_force
 
@@ -321,29 +321,28 @@ def _final_complementarity(out, nonzeros):
             for j in sorted(both)])
 
 
-def _kernel_minimality(out, trace, bound=8):
+KERNEL_BOX_BOUND = 8  # |x_i| bound of _kernel_minimality's box enumeration
+
+
+def _kernel_minimality(out, trace):
     """Each change-of-basis mark (i, j) of a z trace stores its combination
-    as column j of its diagonal's running basis, over j's chain group up to
-    j; its kernel problem is rebuilt from the input on those columns and the
-    rows of the group below from i down. Box enumeration bounds the true
-    minimum from above (an optimal witness may stick out of the box), so
-    equality is only demanded when the stored combination fits inside it.
-    A problem whose box is past ILP_MAX_BOX is skipped, and counted."""
+    as column j of its diagonal's running basis, over the columns of its
+    kernel problem, cut from the input by ConnectionMatrix.kernel_problem.
+    Box enumeration bounds the true minimum from above (an optimal witness
+    may stick out of the box), so equality is only demanded when the
+    stored combination fits inside it. A problem whose box is past
+    ILP_MAX_BOX is skipped, and counted."""
     bad = []
     checked = skipped = 0
-    matrix = trace.matrix
     for mk in trace.registry.marks:
         if mk.kind != CHANGE_OF_BASIS:
             continue
-        i, j = mk.position
-        k = matrix.chain_index(j)
-        cols = sorted(col for col in matrix.partition[k] if col <= j)
-        if not ilp_box_fits(len(cols), bound):
+        j = mk.position[1]
+        cols, problem = trace.matrix.kernel_problem(*mk.position)
+        if not ilp_box_fits(problem.c, KERNEL_BOX_BOUND):
             skipped += 1
             continue
-        a = [[matrix.entry(row, col) for col in cols]
-             for row in sorted(matrix.partition[k - 1]) if row >= i]
-        witness = ilp_brute_force(KernelProblem(a, len(cols)), bound)
+        witness = ilp_brute_force(problem, KERNEL_BOX_BOUND)
         if witness is None:
             continue
         got = [trace.transitions[mk.diagonal][col - 1][j - 1] for col in cols]
@@ -351,7 +350,7 @@ def _kernel_minimality(out, trace, bound=8):
         if not 0 < got[-1] <= witness.min_leading or witness.min_leading % got[-1]:
             bad.append(f"kernel problem: leading {got[-1]} inconsistent with "
                        f"box minimum {witness.min_leading}")
-        elif max(abs(v) for v in got) <= bound and got[-1] != witness.min_leading:
+        elif max(map(abs, got)) <= KERNEL_BOX_BOUND and got[-1] != witness.min_leading:
             bad.append(f"kernel problem: leading {got[-1]} but the box "
                        f"enumeration reaches {witness.min_leading}")
     out.append(("kernel_leading_minimality", not bad, _failed(bad) if bad else
@@ -435,10 +434,9 @@ def verify_block_runs(runs, matrix, full_trace):
     """Blockwise finals and marks must match the full run."""
     out = []
     final = full_trace.final
-    cols = {run.k: sorted(matrix.partition[run.k]) for run in runs}
     _check(out, "uncoupling_blocks",
            [f"block {run.k}: final entry {(i, j)} differs" for run in runs
-            for i in sorted(matrix.partition[run.k - 1]) for j in cols[run.k]
+            for rows, cols, _ in [matrix.block(run.k)] for i in rows for j in cols
             if final[i - 1][j - 1] != run.trace.final[i - 1][j - 1]])
     union = {(mk.position, mk.kind, mk.value)
              for run in runs for mk in run.trace.registry.marks}

@@ -1,8 +1,22 @@
 import random
+import warnings
 
 import pytest
 
 from connsweep import RandomSpec, random_connection_matrix
+
+pytest_plugins = ["pytester"]
+
+# hypothesis imports this module, and through it libcst, only when a test
+# fails; libcst's import raises a mypy_extensions DeprecationWarning, which
+# under -W error turns a failure report into an INTERNALERROR. Importing it
+# here, with that warning ignored for this import only, keeps the report.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed
+        pass
 
 
 def random_corpus(count, seed, m_range=(2, 16), b_range=(1, 4),

@@ -18,7 +18,8 @@ from connsweep.verify import (_basis_steps, _below_diagonal_structure, _check,
 
 def dense_of(cm):
     """The entries of a ConnectionMatrix as m x m row lists."""
-    return [[cm.entry(i, j) for j in range(1, cm.m + 1)] for i in range(1, cm.m + 1)]
+    return [[cm.entries.get((i, j), 0) for j in range(1, cm.m + 1)]
+            for i in range(1, cm.m + 1)]
 
 
 def invert_upper(u):
@@ -283,7 +284,8 @@ def kernel_problems(trace):
         cols = sorted(col for col in matrix.partition[k] if col <= j)
         rows = sorted(row for row in matrix.partition[k - 1] if row >= i)
         out.append(KernelProblem(
-            [[matrix.entry(row, col) for col in cols] for row in rows], len(cols)))
+            [[matrix.entries.get((row, col), 0) for col in cols] for row in rows],
+            len(cols)))
     return out
 
 

@@ -21,8 +21,9 @@ from connsweep.fixtures import FIX_CB, FIX_FIG3R, FIX_SPHERE, FIX_TUCB, FIX_ZERO
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "artifact_digests.json")
 
-# The fixtures, a small surface, and seeded random inputs whose sweeps
-# make change-of-basis marks (so z and accumulated change their bases).
+# The fixtures, a small and a mid-size surface (m=64; its z run solves 15
+# kernel problems, up to c=16), and seeded random inputs whose sweeps make
+# change-of-basis marks (so z and accumulated change their bases).
 INPUTS = {
     "zero": FIX_ZERO,
     "sphere": FIX_SPHERE,
@@ -30,6 +31,7 @@ INPUTS = {
     "cb": FIX_CB,
     "fig3r": FIX_FIG3R,
     "surface": generate_surface_matrix(3, (3, 4, 2), flips=1),
+    "surface64": generate_surface_matrix(1, (16, 32, 16)),
     "random26": random_connection_matrix(RandomSpec(
         seed=26, m=8, b=1, density=0.7, values=tuple(range(-3, 4)))),
     "random10": random_connection_matrix(RandomSpec(

@@ -3,11 +3,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connsweep import (ConnectionMatrix, allowable_pattern, validate)
+from connsweep import (CHANGE_OF_BASIS, ConnectionMatrix, RandomSpec,
+                       allowable_pattern, random_connection_matrix, sweep_over_z,
+                       validate)
 from connsweep.core import pattern_test
 from connsweep.fixtures import (FIX_CB, FIX_FIG3L, FIX_FIG3R, FIX_SPHERE,
                                 FIX_TUCB, FIX_ZERO)
-from reference import dense_of, mat_mul
+from reference import dense_of, kernel_problems, mat_mul
 
 
 def test_fixtures_are_valid():
@@ -18,7 +20,7 @@ def test_fixtures_are_valid():
 def test_zero_values_are_dropped():
     cm = ConnectionMatrix(3, [{1}, {2}, {3}], {(1, 2): 0, (2, 3): Fraction(2, 2)})
     assert cm.entries == {(2, 3): 1}
-    assert cm.entry(1, 2) == 0
+    assert (1, 2) not in cm.entries
 
 
 def test_allowable_pattern_counts():
@@ -108,3 +110,38 @@ def test_chain_index_lookup():
     assert FIX_FIG3R.chain_index(7) == 0
     assert FIX_FIG3R.chain_index(12) == 1
     assert FIX_FIG3R.chain_index(5) == 3
+
+
+@st.composite
+def rational_inputs(draw):
+    """Random boundary matrices, b 1-4, grouped or scattered, with some rows
+    divided by 2 or 3 so that Fraction entries occur."""
+    m = draw(st.integers(2, 16))
+    cm = random_connection_matrix(RandomSpec(
+        seed=draw(st.integers(0, 10 ** 6)), m=m, b=draw(st.integers(1, min(4, m - 1))),
+        style=draw(st.sampled_from(("grouped", "scattered"))),
+        density=draw(st.floats(0.2, 0.9)), values=tuple(range(-3, 4))))
+    divided = draw(st.sets(st.integers(1, m)))
+    d = draw(st.sampled_from((2, 3)))
+    return cm.with_entries({(i, j): Fraction(v, d) if i in divided else v
+                            for (i, j), v in cm.entries.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_inputs())
+def test_block_view_and_kernel_cut_match_cell_by_cell_reads(cm):
+    """block(k) is J_{k-1} x J_k read cell by cell from the entries, and
+    kernel_problem(i, j) is reference.kernel_problems' problem of each
+    change-of-basis mark of the z trace, on the columns of j's group up
+    to j."""
+    for k in range(1, cm.b + 1):
+        rows, cols = sorted(cm.partition[k - 1]), sorted(cm.partition[k])
+        assert cm.block(k) == (tuple(rows), tuple(cols), tuple(
+            tuple(cm.entries.get((i, j), 0) for j in cols) for i in rows))
+    trace = sweep_over_z(cm)
+    marks = [mk.position for mk in trace.registry.marks if mk.kind == CHANGE_OF_BASIS]
+    cuts = [cm.kernel_problem(i, j) for i, j in marks]
+    assert [problem for _, problem in cuts] == kernel_problems(trace)
+    assert [cols for cols, _ in cuts] == [
+        tuple(sorted(col for col in cm.partition[cm.chain_index(j)] if col <= j))
+        for _, j in marks]

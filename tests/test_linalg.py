@@ -72,7 +72,7 @@ def test_integer_kernel_basis_generates_whole_kernel():
         nr, nc = rng.randint(1, 4), rng.randint(1, 6)
         rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
         basis = integer_kernel_basis(rows, nc)
-        for vec in basis:
+        for vec in basis.values():
             assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
         assert len(basis) == nc - rank(rows)
         # spot-check membership: small kernel vectors found by scanning must
@@ -81,7 +81,7 @@ def test_integer_kernel_basis_generates_whole_kernel():
             x = [rng.randint(-2, 2) for _ in range(nc)]
             if any(sum(a * v for a, v in zip(row, x)) for row in rows):
                 continue
-            work = [list(v) for v in basis]
+            work = [list(v) for v in basis.values()]
             # solve sum c_i basis_i = x over the rationals, then check ints
             aug = [[work[i][k] for i in range(len(work))] + [x[k]]
                    for k in range(nc)]
@@ -99,10 +99,10 @@ def test_clear_denominators():
 def test_reduce_mod_lattice_canonical():
     basis = [[2, 0, 0], [0, 3, 0]]
     # representatives land in the symmetric range of each pivot
-    assert reduce_mod_lattice([5, 7, 1], basis) == [1, 1, 1]
-    assert reduce_mod_lattice([-5, -7, 1], basis) == [1, -1, 1]
+    assert reduce_mod_lattice([5, 7, 1], echelon(basis)) == [1, 1, 1]
+    assert reduce_mod_lattice([-5, -7, 1], echelon(basis)) == [1, -1, 1]
     # coset invariance
-    assert reduce_mod_lattice([5 + 4, 7 - 9, 1], basis) == [1, 1, 1]
+    assert reduce_mod_lattice([5 + 4, 7 - 9, 1], echelon(basis)) == [1, 1, 1]
 
 
 def _minors_gcd(vectors, k):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
-                       InvalidMatrixError, KernelProblem, ConnectionMatrix,
+                       InvalidMatrixError, KernelProblem, ConnectionMatrix, linalg,
                        marks_on_diagonal, solve_min_leading, sweep_over_z, sweep_z)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_ZERO
-from connsweep.linalg import exact_div, thaw
+from connsweep.linalg import (clear_denominators, echelon, exact_div,
+                              integer_kernel_basis, thaw)
 from connsweep.oracles import ilp_brute_force
 from connsweep.verify import verify_trace
 import reference
@@ -94,6 +95,30 @@ def test_solve_min_leading_matches_reference(problem):
     returns, vector for vector, and is infeasible exactly where it was."""
     assert _solved(solve_min_leading, problem) == \
         _solved(reference.solve_min_leading, problem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_kernel_problems())
+def test_integer_kernel_basis_is_in_echelon_form(problem):
+    """The kernel basis comes back as echelon's own form, so solving needs
+    no second echelon pass: echelon leaves it as it is."""
+    ech = integer_kernel_basis(clear_denominators(problem.a), problem.c)
+    assert echelon(list(ech.values())) == ech
+
+
+def test_solve_min_leading_runs_one_echelon(monkeypatch):
+    """One echelon pass per problem: the kernel basis's own."""
+    calls = []
+    real = linalg.echelon
+
+    def counted(vectors):
+        calls.append(vectors)
+        return real(vectors)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    monkeypatch.setattr(sweep_z, "echelon", counted, raising=False)
+    assert solve_min_leading(KernelProblem(((1, 0, 2), (0, 1, -1)), 3)) == (-2, 1, 1)
+    assert len(calls) == 1
 
 
 def test_solve_min_leading_infeasible():
