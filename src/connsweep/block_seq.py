@@ -18,8 +18,7 @@ from functools import cached_property
 from itertools import compress, count
 
 from .core import (PRIMARY, ConnectionMatrix, Mark, MarkRegistry,
-                   PreconditionError, SweepTrace, frozen_transitions,
-                   require_valid)
+                   PreconditionError, SweepTrace, require_valid)
 from .linalg import cancel_ops, conjugate
 from .sweep_f import sweep_incremental
 
@@ -132,10 +131,10 @@ def revised_one_block(matrix):
         row = work[i_t]
         j_t, *rest = sorted(active.intersection(row))
         marks.append(Mark((i_t + 1, j_t + 1), PRIMARY, j_t - i_t, row[j_t]))
-        ops = cancel_ops(row, j_t + 1, [j + 1 for j in rest])
+        ops = tuple(cancel_ops(row, j_t + 1, [j + 1 for j in rest]))
         op_lists.append(ops)
         conjugate(work, ops)
         matrices.append(work.snapshot())
         active.remove(j_t)
-    return SweepTrace("revised1", matrix, tuple(matrices),
-                      frozen_transitions(m, op_lists), MarkRegistry(tuple(marks)))
+    return SweepTrace("revised1", matrix, tuple(matrices), tuple(op_lists),
+                      MarkRegistry(tuple(marks)))

@@ -19,7 +19,7 @@ from .block_seq import block_sequential_sweep, revised_one_block
 from .cmx import parse_cmx, serialize_cmx
 from .core import (PRIMARY, CmxError, ConnSweepError, InvalidMatrixError,
                    KernelProblem, PreconditionError)
-from .linalg import changed_rows
+from .linalg import changed_rows, products
 from .oracles import RandomSpec, ilp_brute_force, pivot_rank_oracle, \
     random_connection_matrix
 from .row_cancel import (cancellation_schedule, reduction_stages,
@@ -66,31 +66,45 @@ def _entry_lines(seq):
         yield lines
 
 
-def _records(trace):
-    """(label, marks, transition, matrix index) per record of a trace."""
-    if trace.algorithm == "revised1":
-        for t in range(1, len(trace.transitions) + 1):
-            yield (f"step {t}", [trace.registry.marks[t - 1]],
-                   trace.transitions[t - 1], t)
-        return
-    for r in range(1, trace.matrix.m):
-        yield (f"r {r}", trace.registry.on_diagonal(r), trace.transitions[r], r)
+def _transition_lines(trace):
+    """The 'entry' lines of I + N for each op list of trace, N as
+    linalg.products gives it (running for trace.running): a row is
+    formatted only where the ops wrote it or, per step, where the step
+    before wrote it, and starts as the identity's."""
+    m = trace.matrix.m
+    per_row = [[f"entry {i} {i} 1"] for i in range(1, m + 1)]
+    lines, stale = list(chain.from_iterable(per_row)), set()
+    for n, rows in products(m, trace.ops, trace.running):
+        for i in rows | stale:
+            row = {**n[i], i: n[i].get(i, 0) + 1}
+            per_row[i] = [f"entry {i + 1} {j + 1} {row[j]}" for j in sorted(row) if row[j]]
+        if rows or stale:
+            lines = list(chain.from_iterable(per_row))
+        stale = set() if trace.running else rows
+        yield lines
 
 
 def _trace_records(trace, full):
     """The records of trace.txt after its header, one at a time, each a
     list of lines: a block's `block k` and `Jk_pivot_columns` header, or one
-    diagonal's or step's label, marks, transition and (full) matrix."""
+    diagonal's or step's label, marks, transition and (full) matrix. The
+    record of matrix s is made by op list s - 1 of a revised run, s of a
+    diagonal sweep (whose op list 0 is empty and has no record)."""
     if trace.algorithm == "block":
         for run in trace.runs:
             yield [f"block {run.k}", "Jk_pivot_columns " +
                    " ".join(str(c) for c in sorted(run.pivot_columns))]
             yield from _trace_records(run.trace, full)
         return
-    records = list(_records(trace))
-    t_lines = _entry_lines([t for _, _, t, _ in records])
-    m_lines = _entry_lines([trace.matrices[i] for _, _, _, i in records])
-    for label, marks, _, _ in records:
+    t_lines = _transition_lines(trace)
+    if trace.algorithm == "revised1":
+        records = [(f"step {s}", [mk]) for s, mk in enumerate(trace.registry.marks, 1)]
+    else:
+        records = [(f"r {r}", trace.registry.on_diagonal(r))
+                   for r in range(1, trace.matrix.m)]
+        next(t_lines, None)
+    m_lines = _entry_lines(trace.matrices[1:len(records) + 1])
+    for label, marks in records:
         lines = [label]
         lines.extend(f"mark {mk.kind} {mk.position[0]} {mk.position[1]} {mk.value}"
                      for mk in marks)

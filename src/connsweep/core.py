@@ -4,7 +4,8 @@ All indices visible here are 1-based; dense row lists used internally are
 0-based and converted at the boundary. Every type is an immutable value and
 every operation is pure, so everything is safe to share across tasks. The
 input is read densely only through ConnectionMatrix.block, one kept view of
-each chain block J_{k-1} x J_k, and kernel_problem, its integer cut.
+each chain block J_{k-1} x J_k, and kernel_problem, its integer cut. A
+SweepTrace keeps the op lists of its run, never their dense products.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 
-from .linalg import (SparseMatrix, as_exact, conjugate, freeze, frozen_product,
-                     unit_matrix)
+from .linalg import SparseMatrix, as_exact, conjugate, freeze
 
 Position = tuple[int, int]
 
@@ -277,33 +277,36 @@ class MarkRegistry:
 
 @dataclass(frozen=True)
 class SweepTrace:
-    """Record of one sweeping run: matrices, transitions and marks.
+    """Record of one sweeping run: matrices, op lists and marks.
 
-    matrices holds one more matrix than transitions. A diagonal sweep of an
-    m x m matrix (z, accumulated, incremental, rowcancel) keeps the m+1
-    matrices and m transitions of sweep_diagonals; the revised one-block run
-    keeps one of each per step. For the accumulated variants the
-    transitions are the running change-of-basis matrices P^r; for the
-    others they are the per-diagonal (or per-step) ones T^r. One routine,
-    linalg.frozen_product, multiplies out each. Each is a tuple of row
-    tuples sharing the rows its step left alone with the one before (a
-    per-step T with one identity): a trace retains the rows that changed,
-    and linalg.changed_rows is the one reader of that sharing.
+    ops holds one tuple of (s, d, c) ops per step, as the run applied them
+    (see linalg.conjugate), and matrices one more matrix than ops: the m+1
+    and m of sweep_diagonals for a diagonal sweep of an m x m matrix, one
+    of each per step for the revised one-block run. Each matrix is a tuple
+    of row tuples sharing the rows its step left alone with the one before
+    (read back by linalg.changed_rows). linalg.products reads the change
+    of basis from ops, per step (T^r) or as P^r = T^0 T^1 ... T^r.
     """
 
     algorithm: str
     matrix: ConnectionMatrix
     matrices: tuple
-    transitions: tuple
+    ops: tuple
     registry: MarkRegistry
 
     def __post_init__(self):
-        if len(self.matrices) != len(self.transitions) + 1:
-            raise AlgorithmError("trace shape: need len(matrices) == len(transitions) + 1")
+        if len(self.matrices) != len(self.ops) + 1:
+            raise AlgorithmError("trace shape: need len(matrices) == len(ops) + 1")
 
     @property
     def final(self):
         return self.matrices[-1]
+
+    @property
+    def running(self):
+        """Whether the run's change of basis is read as the running product
+        P^r (z, accumulated) rather than per step (T^r)."""
+        return self.algorithm in ("z", "accumulated")
 
 
 @dataclass(frozen=True)
@@ -353,16 +356,16 @@ def sweep_diagonals(matrix, change_of_basis):
     linalg.conjugate applies them. Row cancellation's rule clears a pivot's
     row when it is marked, so it never meets a change-of-basis pivot.
     Returns the m+1 frozen matrices (the input, repeated for diagonal 0,
-    then the matrix after each diagonal), the m op lists (none on diagonal
-    0) and the MarkRegistry, each matrix sharing the rows its ops left
-    alone. The scan reads only the rows filed under its diagonal: every
+    then the matrix after each diagonal), the m op lists as tuples (none on
+    diagonal 0) and the MarkRegistry, each matrix sharing the rows its ops
+    left alone. The scan reads only the rows filed under its diagonal: every
     row that had an entry there in the input or gained one in a step (and
     may have lost it since). The matrix must be valid; callers check that.
     """
     m = matrix.m
     work = matrix.sparse()
     matrices = [work.frozen] * 2
-    op_lists = [[]]
+    op_lists = [()]
     marks = []
     primary_of_row = {}
     primary_cols = set()
@@ -376,21 +379,13 @@ def sweep_diagonals(matrix, change_of_basis):
             if kind == PRIMARY:
                 primary_of_row[i] = j
                 primary_cols.add(j)
-        ops = change_of_basis(work, found, primary_of_row)
+        ops = tuple(change_of_basis(work, found, primary_of_row))
         op_lists.append(ops)
         for i, j in conjugate(work, ops):
             if j - i > r:
                 pending.setdefault(j - i, set()).add(i)
         matrices.append(work.snapshot())
-    return matrices, op_lists, MarkRegistry(tuple(marks))
-
-
-def frozen_transitions(m, op_lists):
-    """The frozen product of each op list, all on one frozen identity."""
-    units = unit_matrix(m)
-    cols = [(j,) for j in range(m)]
-    return tuple(frozen_product(SparseMatrix(units, cols), ops) if ops else units
-                 for ops in op_lists)
+    return tuple(matrices), tuple(op_lists), MarkRegistry(tuple(marks))
 
 
 def marks_on_diagonal(trace, r):

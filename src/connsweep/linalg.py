@@ -4,15 +4,15 @@ Matrices are lists of row lists, or row tuples once frozen. Values are
 Python ints wherever possible and fractions.Fraction otherwise, so every
 operation is exact. Nothing here knows about chain partitions; callers
 pass blocks in. Changes of basis are lists of elementary ops, applied by
-conjugate and multiplied out by frozen_product, both on a SparseMatrix
-whose snapshots share unchanged rows; changed_rows alone reads that
-sharing back. Integer lattices go through echelon alone, once each.
+conjugate to a SparseMatrix whose snapshots share unchanged rows
+(changed_rows alone reads that sharing back) and multiplied out by
+products, as T - I held by its nonzeros, so no identity is ever built.
+Integer lattices go through echelon alone, once each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress, count
 from math import gcd, lcm
 from operator import is_not
@@ -69,31 +69,25 @@ def freeze(a):
     return tuple(tuple(row) for row in a)
 
 
-@lru_cache(maxsize=1)
-def unit_matrix(n):
-    """freeze(identity(n)), one object for the runs and checks of one size:
-    its rows are tuples, so every trace that starts from it can share them."""
-    return freeze(identity(n))
-
-
 def thaw(a):
     return [list(row) for row in a]
 
 
-def solve_upper(u, b):
-    """x with u @ x == b, for u upper-triangular with nonzero diagonal.
+def solve_upper(n, b):
+    """x with (I + n) @ x == b, for n a SparseMatrix (0-based rows of
+    column -> value) and I + n upper-triangular with nonzero diagonal.
     x is zero past b's last nonzero, so the back-substitution starts there,
-    and each row of u is read only where x is nonzero."""
-    x = [0] * len(u)
+    and each row of n is read only where x is nonzero."""
+    x, rows = [0] * len(b), n.rows
     support = []
     for i in range(max(compress(count(), b), default=-1), -1, -1):
-        row = u[i]
+        row = rows[i]
         s = b[i]
         for k in support:
-            if row[k]:
+            if k in row:
                 s -= row[k] * x[k]
         if s:
-            x[i] = exact_div(s, row[i])
+            x[i] = exact_div(s, 1 + row.get(i, 0))
             support.append(i)
     return x
 
@@ -152,13 +146,13 @@ class SparseMatrix:
         return self.frozen
 
 
-def changed_rows(seq, first=None):
+def changed_rows(seq):
     """For each matrix of seq, the indices (0-based, ascending) of its rows
-    whose values differ from the matrix before's (from first's for seq[0],
-    or every row of seq[0] when first is None). A row that is the matrix
-    before's own object is not compared: snapshots share each row their
-    step left alone, and this is the one reader of that sharing."""
-    prev = first
+    whose values differ from the matrix before's (every row of seq[0]). A
+    row that is the matrix before's own object is not compared: snapshots
+    share each row their step left alone, and this is the one reader of
+    that sharing."""
+    prev = None
     for dense in seq:
         if prev is None:
             yield list(range(len(dense)))
@@ -219,12 +213,24 @@ def conjugate(work, ops):
     return created
 
 
-def frozen_product(work, ops):
-    """work <- work @ T in place, for a SparseMatrix work and T the product
-    of ops, by conjugate's column update; returns the new snapshot."""
-    for s, d, c in ops:
-        _add_column(work, s - 1, d - 1, c, [])
-    return work.snapshot()
+def products(m, op_lists, running=False):
+    """For each op list, (n, rows): n the SparseMatrix T - I, T the m x m
+    product of the ops as conjugate reads them, or with running set
+    P^r - I for P^r = T^0 T^1 ... T^r, one n updated in place; rows are
+    the rows (0-based) the list's ops wrote. (I + n)(I + c E_{s,d}) adds c
+    times column s of n to its column d (conjugate's column update), and c
+    at (s, d); n starts from zero rows, so it costs what the ops touch."""
+    zero = ((),) * m
+    n = SparseMatrix(zero, zero)
+    for ops in op_lists:
+        if running:
+            n.written = set()
+        elif ops or n.written:  # one zero n serves a run of empty lists
+            n = SparseMatrix(zero, zero)
+        for s, d, c in ops:
+            _add_column(n, s - 1, d - 1, c, [])
+            _add(n, [(s - 1, d - 1, 1)], c, [])
+        yield n, n.written
 
 
 def cancel_ops(row, p, cols):

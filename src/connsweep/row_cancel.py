@@ -8,9 +8,9 @@ sweep), so no later entry of its row is nonzero. rc_transition_ops lists
 them; the same diagonal loop (core.sweep_diagonals) and conjugation kernel
 apply them, and the kernel's row operations only ever touch rows that end
 up zero. The run is recorded as a SweepTrace labelled "rowcancel", shaped
-like every other diagonal sweep's: m+1 matrices and m transitions. The last
-diagonal holds only (1, m), with nothing right of it, so its transition is
-the identity.
+like every other diagonal sweep's: m+1 matrices and m op lists. The last
+diagonal holds only (1, m), with nothing right of it, so its op list is
+empty.
 
 Also here: the per-step reduced matrices obtained by deleting each
 cancelled row/column pair, and the cancellation schedule read off a trace.
@@ -23,8 +23,7 @@ from itertools import compress, count
 
 from .block_seq import block_runs
 from .core import (PRIMARY, AlgorithmError, ConnectionMatrix,
-                   PreconditionError, SweepTrace, frozen_transitions,
-                   require_valid, sweep_diagonals)
+                   PreconditionError, SweepTrace, require_valid, sweep_diagonals)
 from .linalg import cancel_ops, changed_rows
 from .tu import SurfaceRejection, is_surface_connection_matrix
 
@@ -49,13 +48,11 @@ def rc_transition_ops(work, pivots):
 
 
 def row_cancellation(matrix):
-    """Row Cancellation run; returns the trace of matrices and transitions."""
+    """Row Cancellation run; returns the trace of matrices and op lists."""
     require_valid(matrix)
-    matrices, op_lists, registry = sweep_diagonals(
+    return SweepTrace("rowcancel", matrix, *sweep_diagonals(
         matrix, lambda work, found, _: rc_transition_ops(
-            work, [(i, j) for i, j, _ in found]))
-    return SweepTrace("rowcancel", matrix, tuple(matrices),
-                      frozen_transitions(matrix.m, op_lists), registry)
+            work, [(i, j) for i, j, _ in found])))
 
 
 def cancellation_schedule(trace):

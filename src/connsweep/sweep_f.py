@@ -5,16 +5,16 @@ marks primary and change-of-basis pivots, and zeroes out each
 change-of-basis pivot with a column combination whose leading coefficient
 is 1. That per-diagonal change of basis T^r is the op list transition_ops
 gives core.sweep_diagonals, which conjugates the working matrix by it in
-place; the trace stores its product. The accumulated variant is the same
-run seen through the running basis P^r = T^0 T^1 ... T^r instead of the
-per-diagonal T^r; linalg.frozen_product multiplies out both.
+place; the trace stores the op lists. The accumulated variant is the same
+run under another label, seen through the running basis
+P^r = T^0 T^1 ... T^r instead of the per-diagonal T^r; linalg.products
+multiplies out either from the same op lists.
 """
 
 from __future__ import annotations
 
-from .core import (PRIMARY, AlgorithmError, SweepTrace, frozen_transitions,
-                   require_valid, sweep_diagonals)
-from .linalg import SparseMatrix, cancel_ops, frozen_product, unit_matrix
+from .core import PRIMARY, AlgorithmError, SweepTrace, require_valid, sweep_diagonals
+from .linalg import cancel_ops
 
 
 def transition_ops(delta_r, cb_positions, primary_of_row):
@@ -36,31 +36,26 @@ def transition_ops(delta_r, cb_positions, primary_of_row):
     return ops
 
 
-def _sweep(matrix):
-    """sweep_diagonals under the incremental rule (transition_ops)."""
+def _sweep(matrix, algorithm):
+    """sweep_diagonals under the incremental rule, labelled algorithm."""
     require_valid(matrix)
-    return sweep_diagonals(
+    return SweepTrace(algorithm, matrix, *sweep_diagonals(
         matrix, lambda work, found, primary_of_row: transition_ops(
             work, [(i, j) for i, j, kind in found if kind != PRIMARY],
-            primary_of_row))
+            primary_of_row)))
 
 
 def sweep_incremental(matrix):
-    """Incremental sweeping; returns the trace of matrices and transitions."""
-    matrices, op_lists, registry = _sweep(matrix)
-    return SweepTrace("incremental", matrix, tuple(matrices),
-                      frozen_transitions(matrix.m, op_lists), registry)
+    """Incremental sweeping; returns the trace of matrices and op lists."""
+    return _sweep(matrix, "incremental")
 
 
 def sweep_accumulated(matrix):
-    """Accumulated sweeping: the incremental run, with the running change of
-    basis P^r in place of each per-diagonal transition T^r.
+    """Accumulated sweeping: the incremental run, read through the running
+    change of basis P^r = P^{r-1} T^r in place of each per-diagonal T^r.
 
     P^r replaces the column of each change-of-basis pivot at (i, j), with
     primary pivot (i, p), by P^{r-1} y for y = 1 at the pivot column and
-    -delta[i][j]/delta[i][p] at the primary column: P^{r-1} T^r, from T^r's ops.
+    -delta[i][j]/delta[i][p] at the primary column.
     """
-    matrices, op_lists, registry = _sweep(matrix)
-    basis = SparseMatrix(unit_matrix(matrix.m))
-    return SweepTrace("accumulated", matrix, tuple(matrices),
-                      tuple(frozen_product(basis, ops) for ops in op_lists), registry)
+    return _sweep(matrix, "accumulated")

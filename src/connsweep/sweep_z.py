@@ -8,24 +8,23 @@ positive leading coefficient: ConnectionMatrix.kernel_problem cuts the
 problem, and one linalg.echelon pass solves it. The combination is
 integral; the matrices may not be.
 
-The trace keeps the running basis P^r, whose column j is the combination
-found for a pivot in column j. The working matrix moves by
-T^r = (P^{r-1})^{-1} P^r through core.sweep_diagonals and linalg.conjugate:
-for each pivot, y = (P^{r-1})^{-1} x by one triangular solve gives the ops
-(s, j, y_s/y_j) for s != j and, when the leading coefficient leaves
-y_j != 1, the scaling op (j, j, y_j - 1). Column j of T^r is y and y is
-zero below row j, so taking the pivots in decreasing column order
-multiplies their factors out to T^r; no solve reads a column an earlier
-one replaces. P^r is linalg.frozen_product of ops on one SparseMatrix
-holding P^{r-1}.
+The trace keeps the op lists, read as the running basis P^r, whose
+column j is the combination found for a pivot in column j. The working
+matrix moves by T^r = (P^{r-1})^{-1} P^r through core.sweep_diagonals and
+linalg.conjugate: for each pivot, y = (P^{r-1})^{-1} x by one triangular
+solve gives the ops (s, j, y_s/y_j) for s != j and, when the leading
+coefficient leaves y_j != 1, the scaling op (j, j, y_j - 1). Column j of
+T^r is y and y is zero below row j, so taking the pivots in decreasing
+column order multiplies their factors out to T^r; no solve reads a column
+an earlier one replaces. P^{r-1} - I is one live SparseMatrix, which
+linalg.products moves on by each diagonal's ops.
 """
 
 from __future__ import annotations
 
 from .core import PRIMARY, AlgorithmError, SweepTrace, require_valid, sweep_diagonals
-from .linalg import (SparseMatrix, clear_denominators, exact_div, frozen_product,
-                     integer_kernel_basis, reduce_mod_lattice, solve_upper,
-                     unit_matrix)
+from .linalg import (clear_denominators, exact_div, integer_kernel_basis, products,
+                     reduce_mod_lattice, solve_upper)
 
 
 def solve_min_leading(problem):
@@ -48,11 +47,12 @@ def solve_min_leading(problem):
 
 
 def sweep_over_z(matrix):
-    """Integer sweeping; the trace's transitions are the running bases P^r."""
+    """Integer sweeping; the trace's op lists are read as running bases P^r."""
     require_valid(matrix)
     m = matrix.m
-    basis = SparseMatrix(unit_matrix(m))
-    bases = [basis.frozen]  # P^0, ..., P^r so far
+    op_lists = [()]  # grows by one list per diagonal, as steps reads it
+    steps = products(m, op_lists, running=True)
+    basis, _ = next(steps)  # P^{r-1} - I, updated in place by next(steps)
 
     def integer_min_ops(work, found, primary_of_row):
         ops = []
@@ -63,13 +63,13 @@ def sweep_over_z(matrix):
             x = [0] * m
             for col, xv in zip(cols_j, solve_min_leading(problem)):
                 x[col - 1] = xv
-            y = solve_upper(bases[-1], x)
+            y = solve_upper(basis, x)
             ops += [(s, j, exact_div(ys, y[j - 1]))
                     for s, ys in enumerate(y, start=1) if ys and s != j]
             if y[j - 1] != 1:
                 ops.append((j, j, y[j - 1] - 1))
-        bases.append(frozen_product(basis, ops))
+        op_lists.append(ops)
+        next(steps)
         return ops
 
-    matrices, _, registry = sweep_diagonals(matrix, integer_min_ops)
-    return SweepTrace("z", matrix, tuple(matrices), tuple(bases), registry)
+    return SweepTrace("z", matrix, *sweep_diagonals(matrix, integer_min_ops))

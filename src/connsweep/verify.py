@@ -12,15 +12,28 @@ pivot_rows_descend) and column checks (pivot_columns_frozen,
 active_block_zeroed, trailing_zeros_monotone). A block trace is checked
 against a run on the whole matrix (verify_block_runs), then block by block.
 
+Together the checks certify the pivot set. transition_structure and
+similarity make the final matrix T^{-1} Delta T for T upper triangular
+within chain groups, so every lower-left corner (rows >= i, columns <= j)
+keeps the input's rank. final_zero_pattern puts every nonzero of the final
+matrix on a primary pivot or above one, and no two primary pivots share a
+row (below_diagonal_pivot_structure; pivot_rows_descend for revised1) or
+a column (MarkRegistry), so a corner's rank is the number of its pivots:
+the pivots are the input's rank jumps, by the pairing lemma (Edelsbrunner
+and Harer, Computational Topology, VII.1; Cohen-Steiner, Edelsbrunner and
+Morozov, Vines and vineyards, 2006).
+
 Each check gives a (name, passed, detail) triple; the CLI renders them
-into verify.txt and tests assert on them. A failing check's detail is its
-first failure and how many instances failed (_failed), counted as the
-check reads them: an entry read once while it lasts over many matrices
-counts once. Checks recompute everything from the stored matrices and
-transitions, never trusting the algorithm's own intermediate state, and
-share no code with the sweeps: similarity is verified in product form
-(T Delta^{r+1} == Delta^r T, or P Delta^r == Delta^0 P for the running
-bases P), never by inverting or replaying a change of basis.
+into verify.txt. A failing check's detail is its first failure and how
+many instances failed (_failed), counted as the check reads them: an entry
+read once while it lasts over many matrices counts once. Checks recompute
+everything from the stored matrices and op lists and share no code with
+the sweeps. Every T^r obeys one rule (_transition_structure): upper
+triangular within chain groups, a unit diagonal (nonzero for z), and no
+change outside what the marks of its step allow. Similarity is checked
+link by link, T^r Delta^{r+1} == Delta^r T^r, never by inverting or
+replaying a change of basis; for the running bases P^r = P^{r-1} T^r of z
+and accumulated that is the same as P^r Delta^{r+1} == Delta^0 P^r.
 
 Every check reads a stored sequence through linalg.changed_rows, the rows
 each matrix changed from the one before, as each row's versions
@@ -29,8 +42,9 @@ The pattern check reads each version once; the below-diagonal check reads
 each entry of a version once, where it first lies below the diagonal, and
 each pivot in the versions of its row live after it joins; the final
 checks read each row's last version, and the revised run's column checks
-each row where it changes and where it first meets the pivot rows. So a
-check costs the entries the steps changed plus O(m) per matrix.
+each row where it changes and where it first meets the pivot rows. Each
+T^r - I comes from the step's ops through linalg.products. So a check
+costs the entries the steps changed plus O(m) per matrix.
 
 The product form is evaluated sparsely and exactly. With T = I + N, a link
 holds when Delta^{r+1} + N Delta^{r+1} == Delta^r + Delta^r N. The sides
@@ -40,76 +54,26 @@ and builds no Fraction: row i holds when Delta^r[i] + z equals
 Delta^{r+1}[i], z = (Delta^r N - N Delta^{r+1})[i] summed as unreduced
 (numerator, denominator) pairs and compared cross-multiplied, a few integer
 products per entry the step touched (elsewhere, by value where the entry
-objects differ). The running bases' left side is carried, normalized, by
-the exact identity P^{r-1} Delta^r = P^{r-2} Delta^{r-1} + P^{r-2}
-(Delta^r - Delta^{r-1}) + (P^{r-1} - P^{r-2}) Delta^r, with P^{-1} = I, so
-a link costs the rows its step changed and keeps its own verdict.
-
-Every stored transition obeys one rule (_transition_structure): upper
-triangular within chain groups, a unit diagonal (nonzero for the integer
-running bases), and no change outside what the marks of its step allow,
-read from T - I, or from P^r - P^{r-1} for a running basis.
+objects differ).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import compress, count, repeat
-from operator import is_not, itemgetter, le, ne
+from math import gcd
+from operator import is_not, itemgetter, le
 
 from .core import CHANGE_OF_BASIS, PRIMARY, pattern_test, validate
-from .linalg import changed_rows, unit_matrix
+from .linalg import changed_rows, products
 from .oracles import ilp_box_fits, ilp_brute_force
 
 
-def _row_changes(t, base, rows):
-    """t - base as {row: [(column, difference), ...]}, 0-based, over the
-    given rows where the two differ, each row's entries in column order."""
-    return {i: [(j, t[i][j] - base[i][j])
-                for j in compress(count(), map(ne, t[i], base[i]))]
-            for i in rows if t[i] != base[i]}
-
-
-def _offsets(transitions):
-    """T - I as row changes for each transition T; a row that did not
-    change from the T before keeps the change found for it there."""
-    units = unit_matrix(len(transitions[0])) if transitions else ()
-    n, out = {}, []
-    for t, rows in zip(transitions, changed_rows(transitions, units)):
-        if rows:
-            stale = set(rows)
-            n = dict(sorted({**{i: c for i, c in n.items() if i not in stale},
-                             **_row_changes(t, units, rows)}.items()))
-        out.append(n)
-    return out
-
-
-def _add_rows(row, n, b):
-    """row + c b[k] for each (k, c) in n, in place; returns row."""
-    for k, c in n:
-        bk = b[k]
-        for j in compress(count(), bk):
-            row[j] += c * bk[j]
-    return row
-
-
-def _right_rows(base, a, d):
-    """The rows of base + a D that can differ from base's, as {row: list},
-    D given by its row changes: row i gains a[i][k] * D[k] for each nonzero
-    a[i][k], so only a's columns in D's row support are read and only the
-    columns in D's column support change."""
-    hits = {}
-    for k in d:
-        for i in compress(count(), map(itemgetter(k), a)):
-            hits.setdefault(i, []).append(k)
-    rows = {}
-    for i, ks in hits.items():
-        row = rows[i] = list(base[i])
-        for k in ks:
-            aik = a[i][k]
-            for j, c in d[k]:
-                row[j] += aik * c
-    return rows
+def _changes(trace):
+    """T^r - I for each op list of trace, as {row: [(column, value), ...]},
+    0-based, rows and each row's entries in ascending order."""
+    return [{i: sorted(n[i].items()) for i in sorted(rows) if n[i]}
+            for n, rows in products(trace.matrix.m, trace.ops)]
 
 
 def _ratios(entries):
@@ -152,26 +116,24 @@ def _link_holds(a, b, n, changed):
     return True
 
 
-def _basis_steps(bases):
-    """P^r - P^{r-1} as row changes for each running basis P^r (P^{-1} = I):
-    what each step changed."""
-    units = unit_matrix(len(bases[0]))
-    return [_row_changes(p, prev, rows) for prev, p, rows
-            in zip((units, *bases), bases, changed_rows(bases, units))]
-
-
-def _delta0_products(trace, steps):
-    """Delta^0 P for each stored running basis P, each from the one before:
-    Delta^0 P^r = Delta^0 P^{r-1} + Delta^0 (P^r - P^{r-1}), the last term
-    from steps (_basis_steps)."""
-    delta0 = trace.matrices[0]
-    product, products = list(delta0), []
-    for step in steps:
-        product = list(product)
-        for i, row in _right_rows(product, delta0, step).items():
-            product[i] = tuple(row)
-        products.append(product)
-    return products
+def _delta0_products(trace, changes):
+    """Delta^0 P^r for each running basis P^r, each from the one before:
+    Delta^0 P^r = Delta^0 P^{r-1} + Delta^0 P^{r-1} (T^r - I), P^{-1} = I,
+    changes[r] = T^r - I; with T^r = I the row list before is kept."""
+    product, out = trace.matrices[0], []
+    for n in changes:
+        if n:
+            rows = {}  # row i gains product[i][k] * (T^r - I)[k], product[i][k] != 0
+            for k, entries in n.items():
+                for i in compress(count(), map(itemgetter(k), product)):
+                    row = rows.setdefault(i, list(product[i]))
+                    for j, c in entries:
+                        row[j] += product[i][k] * c
+            product = list(product)
+            for i, row in rows.items():
+                product[i] = tuple(row)
+        out.append(product)
+    return out
 
 
 def _failed(failures):
@@ -213,15 +175,16 @@ def _pivot_rows(marks):
 
 def _below_diagonal_structure(out, versions, marks):
     """Strictly below diagonal r, nonzeros must be primary pivots or sit
-    above one, and pivot entries must stay nonzero once their diagonal is
-    strictly passed.
+    above one, pivot entries must stay nonzero once their diagonal is
+    strictly passed, and no two primary pivots may share a row.
 
     A pivot joins at the matrix after its diagonal and stays, so an entry
     that may stay once may stay for good: each entry of a row version is
     read once, at the first matrix of the version where it lies below the
     diagonal, against its column's pivot row and the matrix where that
     pivot joins. A pivot is read in each version of its row that is live
-    once it has joined."""
+    once it has joined, and against the first pivot of its row, at the
+    matrix where the later of the two joins."""
     joined = {mk.position[1]: (mk.position[0], mk.diagonal + 1)
               for mk in marks if mk.kind == PRIMARY}
     bad = []
@@ -234,6 +197,7 @@ def _below_diagonal_structure(out, versions, marks):
                     bad.append((r, 0, (i, j), f"matrix {r}: nonzero at "
                                 f"{(i + 1, j + 1)} below diagonal {r} is "
                                 "neither a primary pivot nor above one"))
+    first_of_row = {}
     for n, mk in enumerate(marks):
         if mk.kind == PRIMARY:
             (i, j), t = mk.position, mk.diagonal + 1
@@ -241,23 +205,27 @@ def _below_diagonal_structure(out, versions, marks):
                         f"{(i, j)} became zero")
                        for s, e, cols in versions[i - 1]
                        if e > t and j - 1 not in cols)
+            first = first_of_row.setdefault(i, mk)
+            if first is not mk:
+                t = max(t, first.diagonal + 1)
+                bad.append((t, 2, n, f"matrix {t}: primary pivots at "
+                            f"{first.position} and {(i, j)} share row {i}"))
     _check(out, "below_diagonal_pivot_structure", [msg for *_, msg in sorted(bad)])
 
 
 def _transition_structure(out, trace, changes, allowed, unit_diagonal=True):
-    """Every transition T is upper triangular within chain groups with a
-    unit diagonal (or, unit_diagonal false, a nonzero one), and each step
+    """Every T^r is upper triangular within chain groups with a unit
+    diagonal (or, unit_diagonal false, a nonzero one), and each step
     changes only what its marks allow: allowed holds (r, (i, j)) pairs,
-    None standing for any row or column. changes[r] is T - I (_offsets),
-    or P^r - P^{r-1} for a running basis (_basis_steps)."""
+    None standing for any row or column. changes[r] is T^r - I (_changes)."""
     allowed, bad = set(allowed), []
     group_of = trace.matrix.chain_index_map
-    for r, (t, n) in enumerate(zip(trace.transitions, changes)):
+    for r, n in enumerate(changes):
         for i, entries in n.items():
-            for j, _ in entries:
+            for j, c in entries:
                 pos = (i + 1, j + 1)
-                if i == j and (unit_diagonal or not t[i][i]):
-                    bad.append(f"transition {r}: diagonal entry {t[i][i]} at {i + 1}, "
+                if i == j and (unit_diagonal or c == -1):
+                    bad.append(f"transition {r}: diagonal entry {1 + c} at {i + 1}, "
                                f"expected {1 if unit_diagonal else 'nonzero'}")
                 elif i > j:
                     bad.append(f"transition {r}: entry below the diagonal at {pos}")
@@ -271,33 +239,14 @@ def _transition_structure(out, trace, changes, allowed, unit_diagonal=True):
     _check(out, "transition_structure", bad)
 
 
-def _similarity(out, trace, changed, changes, products=None):
-    """The product form of every link, given changed_rows(trace.matrices)
-    and changes: T - I for each stored T (_offsets), or for z and
-    accumulated traces P^r - P^{r-1} for each stored P (_basis_steps), with
-    products holding Delta^0 P for each (_delta0_products)."""
-    bad = []
+def _similarity(out, trace, changed, changes):
+    """T^r Delta^{r+1} == Delta^r T^r for every link r, given
+    changed_rows(trace.matrices) and changes[r] = T^r - I (_changes)."""
     mats = trace.matrices
-    if products is not None:
-        left, differ = list(mats[0]), set()  # P^{r-1} Delta^r, rows off Delta^0 P^{r-1}
-        bases = (unit_matrix(len(left)), *trace.transitions)
-        for r, product, moved in zip(range(1, len(mats)), products,
-                                     changed_rows(products, mats[0])):
-            if changed[r] or changes[r - 1]:  # else both sides are as before
-                step = _row_changes(mats[r], mats[r - 1], changed[r])
-                rows = _right_rows(left, bases[r - 1], step)
-                for i, n in changes[r - 1].items():
-                    _add_rows(rows.setdefault(i, list(left[i])), n, mats[r])
-                for i, row in rows.items():
-                    left[i] = tuple(row)
-                differ = {i for i in {*differ, *rows, *moved} if left[i] != product[i]}
-            if differ:
-                bad.append(f"P^{r - 1} Delta^{r} != Delta^0 P^{r - 1}")
-    else:
-        for r, (n, a, b) in enumerate(zip(changes, mats, mats[1:])):
-            if (n or changed[r + 1]) and not _link_holds(a, b, n, changed[r + 1]):
-                bad.append(f"T^{r} Delta^{r + 1} != Delta^{r} T^{r}")
-    _check(out, "similarity", bad)
+    _check(out, "similarity", [
+        f"T^{r} Delta^{r + 1} != Delta^{r} T^{r}"
+        for r, (n, a, b) in enumerate(zip(changes, mats, mats[1:]))
+        if (n or changed[r + 1]) and not _link_holds(a, b, n, changed[r + 1])])
 
 
 def _final_zero_pattern(out, final, nonzeros, marks):
@@ -326,33 +275,44 @@ KERNEL_BOX_BOUND = 8  # |x_i| bound of _kernel_minimality's box enumeration
 
 def _kernel_minimality(out, trace):
     """Each change-of-basis mark (i, j) of a z trace stores its combination
-    as column j of its diagonal's running basis, over the columns of its
-    kernel problem, cut from the input by ConnectionMatrix.kernel_problem.
+    as column j of its diagonal's running basis (linalg.products), over
+    the columns of its kernel problem (ConnectionMatrix.kernel_problem).
     Box enumeration bounds the true minimum from above (an optimal witness
     may stick out of the box), so equality is only demanded when the
-    stored combination fits inside it. A problem whose box is past
-    ILP_MAX_BOX is skipped, and counted."""
+    stored combination fits inside it; a box past ILP_MAX_BOX is skipped,
+    and counted. Either way the combination must be integral with entries
+    that share no factor, which would lower its leading one (that it is a
+    kernel vector follows from similarity and the below-diagonal check)."""
+    stored = {}  # mark -> column j of P^r, {row: value}, 0-based
+    for r, (n, _) in enumerate(products(trace.matrix.m, trace.ops, running=True)):
+        for mk in trace.registry.on_diagonal(r):
+            j = mk.position[1] - 1
+            stored[mk] = {i: n[i][j] for i in n.cols[j]}
+            stored[mk][j] = stored[mk].get(j, 0) + 1
     bad = []
     checked = skipped = 0
     for mk in trace.registry.marks:
         if mk.kind != CHANGE_OF_BASIS:
             continue
-        j = mk.position[1]
+        column = stored[mk]
         cols, problem = trace.matrix.kernel_problem(*mk.position)
         if not ilp_box_fits(problem.c, KERNEL_BOX_BOUND):
             skipped += 1
-            continue
-        witness = ilp_brute_force(problem, KERNEL_BOX_BOUND)
-        if witness is None:
-            continue
-        got = [trace.transitions[mk.diagonal][col - 1][j - 1] for col in cols]
-        checked += 1
-        if not 0 < got[-1] <= witness.min_leading or witness.min_leading % got[-1]:
-            bad.append(f"kernel problem: leading {got[-1]} inconsistent with "
-                       f"box minimum {witness.min_leading}")
-        elif max(map(abs, got)) <= KERNEL_BOX_BOUND and got[-1] != witness.min_leading:
-            bad.append(f"kernel problem: leading {got[-1]} but the box "
-                       f"enumeration reaches {witness.min_leading}")
+        elif (witness := ilp_brute_force(problem, KERNEL_BOX_BOUND)) is not None:
+            got = [column.get(col - 1, 0) for col in cols]
+            checked += 1
+            if not 0 < got[-1] <= witness.min_leading or witness.min_leading % got[-1]:
+                bad.append(f"kernel problem: leading {got[-1]} inconsistent with "
+                           f"box minimum {witness.min_leading}")
+                continue
+            if max(map(abs, got)) <= KERNEL_BOX_BOUND and got[-1] != witness.min_leading:
+                bad.append(f"kernel problem: leading {got[-1]} but the box "
+                           f"enumeration reaches {witness.min_leading}")
+                continue
+        if not all(type(v) is int for v in column.values()) or gcd(*column.values()) != 1:
+            entries = ", ".join(f"{v} at {i + 1}" for i, v in sorted(column.items()))
+            bad.append(f"kernel problem: column {mk.position[1]} of its basis "
+                       f"({entries}) is not a primitive integer vector")
     out.append(("kernel_leading_minimality", not bad, _failed(bad) if bad else
                 f"{checked} instances cross-checked, {skipped} skipped "
                 f"(box past ILP_MAX_BOX)"))
@@ -465,8 +425,7 @@ def verify_trace(trace):
     _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
     mats, marks = trace.matrices, trace.registry.marks
     changed = list(changed_rows(mats))
-    running, products = algorithm in ("z", "accumulated"), None
-    changes = (_basis_steps if running else _offsets)(trace.transitions)
+    changes = _changes(trace)
     if algorithm == "revised1":
         _check(out, "upper_triangular_pivots",
                [f"pivot {mk.position} not above the diagonal" for mk in marks
@@ -480,27 +439,28 @@ def verify_trace(trace):
         allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
         versions = _row_versions(mats, changed)
         _pattern_compliance(out, "pattern_compliance", versions, allowed)
-        if running:
-            products = _delta0_products(trace, changes)
+        if trace.running:
+            delta0_p = _delta0_products(trace, changes)
             _pattern_compliance(out, "pattern_compliance_product",
-                                _row_versions(products, changed_rows(products)), allowed)
+                                _row_versions(delta0_p, changed_rows(delta0_p)), allowed)
         _below_diagonal_structure(out, versions, marks)
         if algorithm == "rowcancel":
             _row_cancellation(out, versions, marks)
         nonzeros = [vs[-1][2] for vs in versions]
     # A row-cancelling step t (the diagonal, or the revised run's mark
     # index) may change row j of T for its pivot (i, j); change-of-basis
-    # mark (i, j) column j of P^r, but of T^r only (p, j), (i, p) a pivot.
+    # mark (i, j) only (p, j), (i, p) a pivot, or for z, whose leading
+    # coefficients need not be 1, column j.
     if algorithm in ("rowcancel", "revised1"):
         steps = [(t if algorithm == "revised1" else mk.diagonal, (mk.position[1], None))
                  for t, mk in enumerate(marks)]
     else:
         col_of_row = {i: j for j, i in _pivot_rows(marks).items()}
-        steps = [(mk.diagonal, (None if running else col_of_row[mk.position[0]],
-                                mk.position[1]))
+        steps = [(mk.diagonal, (None if algorithm == "z" else
+                                col_of_row.get(mk.position[0], 0), mk.position[1]))
                  for mk in marks if mk.kind == CHANGE_OF_BASIS]
     _transition_structure(out, trace, changes, steps, unit_diagonal=algorithm != "z")
-    _similarity(out, trace, changed, changes, products)
+    _similarity(out, trace, changed, changes)
     _final_zero_pattern(out, trace.final, nonzeros, marks)
     if algorithm != "revised1":
         _final_complementarity(out, nonzeros)

@@ -1,17 +1,17 @@
 """Independent reference computations that tests compare the package against."""
 
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from math import gcd
 
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError, KernelProblem,
                        allowable_pattern, validate)
 from connsweep.core import pattern_test
 from connsweep.linalg import (changed_rows, clear_denominators, exact_div, identity,
-                              norm, solve_upper, thaw, xgcd)
-from connsweep.verify import (_basis_steps, _below_diagonal_structure, _check,
+                              norm, thaw, xgcd)
+from connsweep.verify import (_below_diagonal_structure, _check,
                               _delta0_products, _final_complementarity,
                               _final_zero_pattern, _first_nonzero_after,
-                              _kernel_minimality, _offsets, _pattern_compliance,
+                              _kernel_minimality, _pattern_compliance,
                               _pivot_rows, _revised_columns, _row_versions,
                               _similarity, _transition_structure, verify_block_runs)
 
@@ -27,7 +27,7 @@ def invert_upper(u):
     n = len(u)
     if not all(u[i][i] for i in range(n)):
         raise ValueError("zero diagonal entry in triangular inverse")
-    cols = [solve_upper(u, [int(i == c) for i in range(n)]) for c in range(n)]
+    cols = [solve_upper_dense(u, [int(i == c) for i in range(n)]) for c in range(n)]
     return [list(row) for row in zip(*cols)]
 
 
@@ -56,6 +56,28 @@ def ops_product(m, ops):
         for row in t:
             row[d - 1] = norm(row[d - 1] + c * row[s - 1])
     return t
+
+
+def transitions(trace):
+    """T^r for each op list of a trace, multiplied out densely."""
+    return [ops_product(trace.matrix.m, ops) for ops in trace.ops]
+
+
+def running_bases(trace):
+    """The running bases P^r = T^0 T^1 ... T^r of a trace, multiplied out
+    densely."""
+    return list(accumulate(transitions(trace), mat_mul))
+
+
+def offsets(t):
+    """T - I as {row: [(column, value), ...]}, 0-based, over the rows of
+    the dense T where the two differ, each row's entries in column order."""
+    out = {}
+    for i, row in enumerate(t):
+        entries = [(j, v - (i == j)) for j, v in enumerate(row) if v != (i == j)]
+        if entries:
+            out[i] = entries
+    return out
 
 
 def is_identity(a):
@@ -102,20 +124,13 @@ def mat_mul(a, b):
 
 
 def similarity_holds(trace):
-    """(ok, first failure) for every link of a sweep trace's similarity
-    chain, multiplied out densely and worded as verify words it:
-    T^r Delta^{r+1} == Delta^r T^r, or P^{r-1} Delta^r == Delta^0 P^{r-1}
-    when the transitions are running bases (z, accumulated)."""
+    """(ok, first failure) for every link T^r Delta^{r+1} == Delta^r T^r of
+    a sweep trace's similarity chain, multiplied out densely and worded as
+    verify words it, running traces (z, accumulated) included."""
     mats = [thaw(x) for x in trace.matrices]
-    ts = [thaw(x) for x in trace.transitions]
-    if trace.algorithm in ("z", "accumulated"):
-        return _verdict([f"P^{r - 1} Delta^{r} != Delta^0 P^{r - 1}"
-                         for r in range(1, len(mats))
-                         if not mat_eq(mat_mul(ts[r - 1], mats[r]),
-                                       mat_mul(mats[0], ts[r - 1]))])
     return _verdict([f"T^{r} Delta^{r + 1} != Delta^{r} T^{r}"
-                     for r in range(len(mats) - 1)
-                     if not mat_eq(mat_mul(ts[r], mats[r + 1]), mat_mul(mats[r], ts[r]))])
+                     for r, t in enumerate(transitions(trace))
+                     if not mat_eq(mat_mul(t, mats[r + 1]), mat_mul(mats[r], t))])
 
 
 def _nonzeros(dense):
@@ -154,9 +169,9 @@ def dense_check_verdicts(trace):
 
     if trace.algorithm != "revised1":
         out["pattern_compliance"] = pattern(mats)
-        if trace.algorithm in ("z", "accumulated"):
+        if trace.running:
             out["pattern_compliance_product"] = pattern(
-                [mat_mul(thaw(mats[0]), thaw(p)) for p in trace.transitions])
+                [mat_mul(thaw(mats[0]), p) for p in running_bases(trace)])
         bad = []
         for r, dense in enumerate(mats):
             pivot_row_of_col = pivots(r)
@@ -166,6 +181,13 @@ def dense_check_verdicts(trace):
                        if j - i < r and pivot_row_of_col.get(j, 0) < i)
             bad.extend(f"matrix {r}: primary pivot at {(i, j)} became zero"
                        for j, i in pivot_row_of_col.items() if not dense[i - 1][j - 1])
+            first_of_row = {}
+            for mk in marks:
+                if mk.kind == PRIMARY and mk.diagonal < r:
+                    first = first_of_row.setdefault(mk.position[0], mk)
+                    if first is not mk:
+                        bad.append(f"matrix {r}: primary pivots at {first.position} "
+                                   f"and {mk.position} share row {mk.position[0]}")
         out["below_diagonal_pivot_structure"] = _verdict(bad)
     final = trace.final
     pivot_row_of_col = pivots()
@@ -289,6 +311,27 @@ def kernel_problems(trace):
     return out
 
 
+def optimal_z_run(trace):
+    """Whether trace is a run the integer sweep may make, read densely:
+    every link similar, and each change-of-basis mark's column of its
+    running basis an integer kernel vector of its problem with the minimal
+    leading coefficient (solve_min_leading below)."""
+    if trace.algorithm != "z" or not similarity_holds(trace)[0]:
+        return False
+    bases = running_bases(trace)
+    marks = [mk for mk in trace.registry.marks if mk.kind == CHANGE_OF_BASIS]
+    for mk, problem in zip(marks, kernel_problems(trace)):
+        j = mk.position[1]
+        cols = sorted(col for col in trace.matrix.partition[trace.matrix.chain_index(j)]
+                      if col <= j)
+        x = [bases[mk.diagonal][col - 1][j - 1] for col in cols]
+        if (any(type(v) is not int for v in x)
+                or any(sum(a * v for a, v in zip(row, x)) for row in problem.a)
+                or x[-1] != solve_min_leading(problem)[-1]):
+            return False
+    return True
+
+
 def _entry_lines(dense):
     out = []
     for i, row in enumerate(dense, start=1):
@@ -309,11 +352,12 @@ def trace_lines(trace, full):
                          " ".join(str(c) for c in sorted(run.pivot_columns)))
             lines.extend(trace_lines(run.trace, full))
         return lines
+    ts = running_bases(trace) if trace.running else transitions(trace)
     if trace.algorithm == "revised1":
-        records = [(f"step {t}", [mk], trace.transitions[t - 1], t)
+        records = [(f"step {t}", [mk], ts[t - 1], t)
                    for t, mk in enumerate(trace.registry.marks, start=1)]
     else:
-        records = [(f"r {r}", trace.registry.on_diagonal(r), trace.transitions[r], r)
+        records = [(f"r {r}", trace.registry.on_diagonal(r), ts[r], r)
                    for r in range(1, trace.matrix.m)]
     for label, marks, t, idx in records:
         lines.append(label)
@@ -454,26 +498,22 @@ def verify_sweep(trace):
     changed = list(changed_rows(trace.matrices))
     versions = _row_versions(trace.matrices, changed)
     _pattern_compliance(out, "pattern_compliance", versions, allowed)
-    products = None
-    running = trace.algorithm in ("z", "accumulated")
-    if running:
-        changes = _basis_steps(trace.transitions)
+    changes = [offsets(t) for t in transitions(trace)]
+    if trace.running:
         products = _delta0_products(trace, changes)
         _pattern_compliance(out, "pattern_compliance_product",
                             _row_versions(products, changed_rows(products)), allowed)
-    else:
-        changes = _offsets(trace.transitions)
     marks = trace.registry.marks
     _below_diagonal_structure(out, versions, marks)
-    # Mark (i, j) may change column j of P^r, but of T^r only (p, j), (i, p) a pivot.
+    # Mark (i, j) may change only (p, j) of T^r, (i, p) a pivot, or column j for z.
     primary_col_of_row = {i: j for j, i in _pivot_rows(marks).items()}
     _transition_structure(
         out, trace, changes,
-        [(mk.diagonal, (None if running else primary_col_of_row[mk.position[0]],
-                        mk.position[1]))
+        [(mk.diagonal, (None if trace.algorithm == "z" else
+                        primary_col_of_row.get(mk.position[0], 0), mk.position[1]))
          for mk in marks if mk.kind == CHANGE_OF_BASIS],
         unit_diagonal=trace.algorithm != "z")
-    _similarity(out, trace, changed, changes, products)
+    _similarity(out, trace, changed, changes)
     nonzeros = [vs[-1][2] for vs in versions]
     _final_zero_pattern(out, trace.final, nonzeros, marks)
     _final_complementarity(out, nonzeros)
@@ -513,10 +553,10 @@ def verify_row_cancellation(trace):
     _check(out, "row_pivot_uniqueness", [f"two primary pivots in row {i}"
                                          for n, i in enumerate(rows) if i in rows[:n]])
 
-    offsets = _offsets(trace.transitions)
-    _transition_structure(out, trace, offsets,
+    changes = [offsets(t) for t in transitions(trace)]
+    _transition_structure(out, trace, changes,
                           [(mk.diagonal, (mk.position[1], None)) for mk in marks])
-    _similarity(out, trace, changed, offsets)
+    _similarity(out, trace, changed, changes)
     nonzeros = [vs[-1][2] for vs in versions]
     _final_zero_pattern(out, trace.final, nonzeros, marks)
     _final_complementarity(out, nonzeros)
@@ -539,10 +579,10 @@ def verify_revised(trace):
     changed = list(changed_rows(mats))
     _revised_columns(out, mats, marks, changed)
 
-    offsets = _offsets(trace.transitions)
-    _transition_structure(out, trace, offsets,
+    changes = [offsets(t) for t in transitions(trace)]
+    _transition_structure(out, trace, changes,
                           [(t, (mk.position[1], None)) for t, mk in enumerate(marks)])
-    _similarity(out, trace, changed, offsets)
+    _similarity(out, trace, changed, changes)
     _final_zero_pattern(out, trace.final,
                         [tuple(compress(count(), row)) for row in trace.final], marks)
     return out

@@ -22,7 +22,8 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, RandomSpec,
 from connsweep.fixtures import FIX_FIG3L, FIX_FIG3R
 from connsweep.linalg import thaw
 from connsweep.verify import verify_block_runs, verify_trace
-from reference import is_identity, kernel_problems, mat_eq, mat_mul
+from reference import (is_identity, kernel_problems, mat_eq, mat_mul, running_bases,
+                       transitions)
 
 SURFACE_COUNT = 500
 TU_COUNT = 500
@@ -110,7 +111,7 @@ def tu_results():
             if any(v not in (1, -1) for (_, v) in _primary_set(trace)):
                 failures["ac2"].append(tag)
                 break
-        for p in sweep_accumulated(cm).transitions:
+        for p in running_bases(sweep_accumulated(cm)):
             ok = all(p[j][j] == 1 for j in range(cm.m)) and not any(
                 isinstance(v, Fraction) for row in p for v in row)
             if not ok:
@@ -157,20 +158,19 @@ def general_results():
 
         for trace in (tz, ta):
             delta0 = thaw(trace.matrices[0])
+            bases = running_bases(trace)
             for r in range(1, len(trace.matrices)):
-                p = thaw(trace.transitions[r - 1])
+                p = bases[r - 1]
                 if not mat_eq(mat_mul(p, thaw(trace.matrices[r])),
                               mat_mul(delta0, p)):
                     failures["ac7"].append(tag + f" ({trace.algorithm} r={r})")
                     break
-        for r in range(len(ti.matrices) - 1):
-            t = ti.transitions[r]
+        for r, t in enumerate(transitions(ti)):
             if is_identity(t):
                 if ti.matrices[r + 1] != ti.matrices[r]:
                     failures["ac7"].append(tag + f" (incremental r={r})")
                     break
                 continue
-            t = thaw(t)
             if not mat_eq(mat_mul(t, thaw(ti.matrices[r + 1])),
                           mat_mul(thaw(ti.matrices[r]), t)):
                 failures["ac7"].append(tag + f" (incremental r={r})")
@@ -268,13 +268,14 @@ def test_ac8_ilp_optimality():
         # the stored leading coefficient is entry (j, j) of its running basis
         cb_marks = [mk for mk in trace.registry.marks
                     if mk.kind == CHANGE_OF_BASIS]
+        bases = running_bases(trace)
         for problem, mk in zip(kernel_problems(trace), cb_marks):
             witness = ilp_brute_force(problem, ILP_BOUND)
             if witness is None:
                 continue
             instances += 1
             j = mk.position[1]
-            if trace.transitions[mk.diagonal][j - 1][j - 1] != witness.min_leading:
+            if bases[mk.diagonal][j - 1][j - 1] != witness.min_leading:
                 failures.append(f"sweep#{seed}: {problem.a}")
     assert instances > 50, "corpus produced too few change-of-basis instances"
     assert not failures, failures[:5]

@@ -46,7 +46,7 @@ def test_revised_tucb():
     trace = revised_one_block(FIX_TUCB)
     marks = [(mk.position, mk.value) for mk in trace.registry.marks]
     assert marks == [((2, 3), -1)]
-    assert len(trace.transitions) == 1
+    assert len(trace.ops) == 1
     col4 = [trace.final[i][3] for i in range(4)]
     assert col4 == [0, 0, 0, 0]
 

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from connsweep.linalg import (SparseMatrix, bareiss_det, changed_rows,
                               clear_denominators, conjugate, echelon,
-                              exact_div, freeze,
-                              frozen_product, identity,
-                              integer_kernel_basis, norm, rank,
+                              exact_div, freeze, identity,
+                              integer_kernel_basis, norm, products, rank,
                               reduce_mod_lattice, thaw, xgcd)
 from reference import invert_upper, is_identity, mat_mul, ops_product
 
@@ -198,29 +197,29 @@ def test_ops_product_is_ordered_product(case):
     m, ops = case
     expected = reduce(mat_mul, [one_op(m, *op) for op in ops], identity(m))
     assert ops_product(m, ops) == expected
-    assert thaw(frozen_product(SparseMatrix(freeze(identity(m))), ops)) == expected
-
-
-@st.composite
-def running_bases(draw, m):
-    """Frozen upper triangular matrices with a nonzero diagonal, like a
-    running basis P^r; most entries above the diagonal are zero."""
-    above = st.one_of(st.just(0), st.just(0), NONZERO)
-    return freeze([[draw(NONZERO) if j == i else draw(above) if j > i else 0
-                    for j in range(m)] for i in range(m)])
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 7).flatmap(
-    lambda m: st.tuples(running_bases(m), ops_lists(m, upper=False))))
-def test_frozen_product_multiplies_out_on_any_base(case):
-    """base @ T for the ordered product T of the ops, sharing base's own
-    object for every row it leaves unchanged."""
-    base, ops = case
-    got = frozen_product(SparseMatrix(base), ops)
-    assert thaw(got) == mat_mul(thaw(base), ops_product(len(base), ops))
-    assert all(new is old for new, old in zip(got, base) if new == old)
-    assert (got is base) == (got == base)
+@given(st.integers(2, 7).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(ops_lists(m, upper=False), max_size=4))))
+def test_products_multiply_out_each_list_and_the_running_product(case):
+    """Per step, I + N is the ordered product of one list's ops (scaling
+    ops, int and Fraction coefficients included); running, it is the
+    ordered product of every list so far. Each N lists the rows its list
+    wrote, and only those change."""
+    m, op_lists = case
+
+    def dense(n):
+        return [[(i == j) + n[i].get(j, 0) for j in range(m)] for i in range(m)]
+
+    for (n, rows), ops in zip(products(m, op_lists), op_lists):
+        assert dense(n) == ops_product(m, ops)
+        assert all(not n[i] for i in set(range(m)) - rows)
+    expected = identity(m)
+    for (n, rows), ops in zip(products(m, op_lists, running=True), op_lists):
+        before, expected = expected, mat_mul(expected, ops_product(m, ops))
+        assert dense(n) == expected
+        assert all(before[i] == expected[i] for i in set(range(m)) - rows)
 
 
 @st.composite
@@ -247,11 +246,10 @@ def snapshot_sequences(draw):
 @given(snapshot_sequences())
 def test_changed_rows_are_the_rows_whose_values_differ(case):
     """Whatever objects hold them, exactly the rows whose values differ
-    from the matrix before's, with every row of the first matrix reported
-    when there is none before it."""
+    from the matrix before's, with every row of the first matrix reported,
+    there being none before it."""
     first, seq = case
     m = len(first)
     expected = [[i for i in range(m) if mat[i] != prev[i]]
                 for prev, mat in zip([first, *seq], seq)]
-    assert list(changed_rows(seq, first)) == expected
-    assert list(changed_rows(seq)) == [list(range(m)), *expected[1:]]
+    assert list(changed_rows([first, *seq])) == [list(range(m)), *expected]

@@ -16,7 +16,7 @@ from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
 from connsweep.linalg import SparseMatrix, freeze, identity, thaw
 from connsweep.verify import verify_block_runs, verify_trace
 from reference import (dense_of, is_identity, mat_mul, ops_product,
-                       reduction_steps)
+                       reduction_steps, transitions)
 
 
 def pivots_of(trace):
@@ -26,15 +26,15 @@ def pivots_of(trace):
 def test_sphere():
     trace = row_cancellation(FIX_SPHERE)
     assert pivots_of(trace) == [((2, 3), 1, -1)]
-    assert is_identity(thaw(trace.transitions[1]))
+    assert is_identity(transitions(trace)[1])
     assert trace.final == trace.matrices[0]
-    assert len(trace.matrices) == 5 and len(trace.transitions) == 4
+    assert len(trace.matrices) == 5 and len(trace.ops) == 4
 
 
 def test_cb():
     trace = row_cancellation(FIX_CB)
     assert pivots_of(trace) == [((2, 3), 1, -2)]
-    t1 = thaw(trace.transitions[1])
+    t1 = transitions(trace)[1]
     expected = identity(4)
     expected[2][3] = Fraction(-3, 2)
     assert t1 == expected

@@ -8,9 +8,10 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        sweep_accumulated, sweep_incremental, sweep_over_z,
                        transition_ops)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.linalg import freeze, identity, thaw
+from connsweep.linalg import freeze, identity, products, thaw
 from connsweep.verify import verify_trace
-from reference import invert_upper, is_identity, mat_mul, ops_product
+from reference import (invert_upper, is_identity, mat_mul, ops_product,
+                       running_bases, transitions)
 
 
 def marks_of(trace):
@@ -26,14 +27,14 @@ def final_entries(trace):
 def test_incremental_sphere():
     trace = sweep_incremental(FIX_SPHERE)
     assert marks_of(trace) == [((2, 3), PRIMARY, 1, -1)]
-    assert all(is_identity(thaw(t)) for t in trace.transitions)
+    assert all(is_identity(t) for t in transitions(trace))
 
 
 def test_incremental_cb():
     trace = sweep_incremental(FIX_CB)
-    assert trace.transitions[2][2][3] == Fraction(-3, 2)
+    assert transitions(trace)[2][2][3] == Fraction(-3, 2)
     assert final_entries(trace) == {(1, 3): 2, (2, 3): -2}
-    basis = sweep_accumulated(FIX_CB).transitions
+    basis = running_bases(sweep_accumulated(FIX_CB))
     sigma3_col4 = [basis[2][i][3] for i in range(4)]
     assert sigma3_col4 == [0, 0, Fraction(-3, 2), 1]
 
@@ -41,13 +42,13 @@ def test_incremental_cb():
 def test_incremental_zero():
     trace = sweep_incremental(FIX_ZERO)
     assert marks_of(trace) == []
-    assert all(is_identity(thaw(t)) for t in trace.transitions)
+    assert all(is_identity(t) for t in transitions(trace))
 
 
 def test_accumulated_cb():
     trace = sweep_accumulated(FIX_CB)
     # the replacement column solves with coefficients (-3/2, 1) on (col3, col4)
-    p2 = trace.transitions[2]
+    p2 = running_bases(trace)[2]
     assert [p2[i][3] for i in range(4)] == [0, 0, Fraction(-3, 2), 1]
     assert final_entries(trace) == {(1, 3): 2, (2, 3): -2}
 
@@ -61,7 +62,7 @@ def test_accumulated_tucb():
 
 def test_accumulated_zero_keeps_identity():
     trace = sweep_accumulated(FIX_ZERO)
-    assert all(is_identity(thaw(p)) for p in trace.transitions)
+    assert all(is_identity(p) for p in running_bases(trace))
 
 
 def test_transition_matrix_empty_is_identity():
@@ -118,8 +119,9 @@ def test_accumulated_equals_incremental(small_corpus):
 def test_blockwise_update_lemma(small_corpus):
     for cm in small_corpus[:20]:
         trace = sweep_incremental(cm)
+        ts = transitions(trace)
         for r in range(1, len(trace.matrices) - 1):
-            t = thaw(trace.transitions[r])
+            t = ts[r]
             prev = thaw(trace.matrices[r])
             cur = thaw(trace.matrices[r + 1])
             for k in range(1, cm.b + 1):
@@ -143,13 +145,18 @@ def test_invariant_suites(small_corpus):
 
 
 def test_accumulated_bases_are_products_of_incremental_transitions(small_corpus):
-    """P^r = T^0 T^1 ... T^r, multiplied out densely."""
+    """The accumulated run keeps the incremental op lists, and its running
+    bases, read through linalg.products, are P^r = T^0 T^1 ... T^r of the
+    incremental transitions multiplied out densely."""
     for cm in small_corpus:
-        ts = [thaw(t) for t in sweep_incremental(cm).transitions]
-        bases = sweep_accumulated(cm).transitions
+        ts = transitions(sweep_incremental(cm))
+        trace = sweep_accumulated(cm)
+        assert trace.ops == sweep_incremental(cm).ops
+        bases = [[[(i == j) + n[i].get(j, 0) for j in range(cm.m)] for i in range(cm.m)]
+                 for n, _ in products(cm.m, trace.ops, trace.running)]
         assert len(bases) == len(ts)
         for p, product in zip(bases, accumulate(ts, mat_mul)):
-            assert thaw(p) == product
+            assert p == product
 
 
 def test_integral_unit_leading_basis_on_unit_pivot_inputs(small_corpus):
@@ -160,7 +167,7 @@ def test_integral_unit_leading_basis_on_unit_pivot_inputs(small_corpus):
             continue
         if any(isinstance(v, Fraction) for v in cm.entries.values()):
             continue
-        for p in trace.transitions:
+        for p in running_bases(trace):
             for j in range(cm.m):
                 assert p[j][j] == 1
                 assert not any(isinstance(p[i][j], Fraction) for i in range(cm.m))

@@ -14,7 +14,8 @@ from connsweep.linalg import (clear_denominators, echelon, exact_div,
 from connsweep.oracles import ilp_brute_force
 from connsweep.verify import verify_trace
 import reference
-from reference import is_identity, kernel_problems, mat_mul, solve_upper_dense
+from reference import (is_identity, kernel_problems, mat_mul, running_bases,
+                       solve_upper_dense)
 
 
 def marks_of(trace):
@@ -26,8 +27,8 @@ def test_zero_matrix():
     trace = sweep_over_z(FIX_ZERO)
     assert marks_of(trace) == []
     assert all(all(not v for row in mat for v in row) for mat in trace.matrices)
-    assert all(is_identity(thaw(p)) for p in trace.transitions)
-    assert len(trace.matrices) == 4 and len(trace.transitions) == 3
+    assert all(is_identity(p) for p in running_bases(trace))
+    assert len(trace.matrices) == 4 and len(trace.ops) == 3
 
 
 def test_sphere_trace():
@@ -141,7 +142,7 @@ def test_basis_is_accumulated_change_of_basis():
     """P^r differs from P^{r-1} only in the columns of diagonal r's
     change-of-basis marks."""
     trace = sweep_over_z(FIX_CB)
-    basis = trace.transitions
+    basis = running_bases(trace)
     for r in range(1, len(basis)):
         cols = {j for j, (a, b) in enumerate(zip(zip(*basis[r - 1]), zip(*basis[r])),
                                              start=1) if a != b}
@@ -175,21 +176,25 @@ def test_similarity_exact(small_corpus):
     for cm in small_corpus[:10] + [TWO_CB_ONE_GROUP]:
         trace = sweep_over_z(cm)
         delta0 = thaw(trace.matrices[0])
+        bases = running_bases(trace)
         for r in range(1, len(trace.matrices)):
-            p = thaw(trace.transitions[r - 1])
+            p = bases[r - 1]
             assert mat_mul(p, thaw(trace.matrices[r])) == mat_mul(delta0, p)
 
 
 def test_solve_upper_matches_dense_back_substitution(small_corpus, monkeypatch):
-    """Each solve against P^{r-1} starts at x's last nonzero and reads only
-    where the solution is nonzero, yet equals the back-substitution over
-    every row, int and Fraction types included."""
+    """Each solve against P^{r-1}, held as P^{r-1} - I, starts at x's last
+    nonzero and reads only where the solution is nonzero, yet equals the
+    back-substitution over every row of the dense P^{r-1}, int and
+    Fraction types included."""
     calls = []
     solve = sweep_z.solve_upper
 
-    def recording(u, b):
-        x = solve(u, b)
-        calls.append((u, b, x))
+    def recording(n, b):
+        x = solve(n, b)
+        m = len(b)
+        calls.append(([[(i == j) + n[i].get(j, 0) for j in range(m)] for i in range(m)],
+                      b, x))
         return x
 
     monkeypatch.setattr(sweep_z, "solve_upper", recording)

@@ -7,16 +7,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from connsweep import (ConnectionMatrix, RandomSpec, block_sequential_sweep, cli,
+from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError, ConnectionMatrix,
+                       MarkRegistry, RandomSpec, block_sequential_sweep, cli,
                        random_connection_matrix, revised_one_block,
                        row_cancellation, sweep_accumulated, sweep_incremental,
                        sweep_over_z, sweep_z, verify)
 from connsweep.cmx import serialize_cmx
 from connsweep.fixtures import FIX_CB, FIX_SPHERE
-from connsweep.linalg import thaw, freeze
+from connsweep.linalg import freeze, norm, thaw
 from connsweep.verify import verify_trace
 import reference
 from reference import (dense_check_verdicts, pivot_zeroed_verdicts,
@@ -51,12 +52,17 @@ def doctor_final(trace, i, j, value):
     return dataclasses.replace(trace, matrices=tuple(mats))
 
 
-def doctor_transition(trace, r, i, j, value):
-    seq = list(trace.transitions)
-    changed = thaw(seq[r])
-    changed[i - 1][j - 1] = value
-    seq[r] = freeze(changed)
-    return dataclasses.replace(trace, transitions=tuple(seq))
+def doctor_op(trace, r, op, k=None):
+    """trace with op k of op list r replaced by op, or op appended to the
+    list when k is None."""
+    seq = list(trace.ops)
+    ops = list(seq[r])
+    if k is None:
+        ops.append(op)
+    else:
+        ops[k] = op
+    seq[r] = tuple(ops)
+    return dataclasses.replace(trace, ops=tuple(seq))
 
 
 def test_all_green_on_good_traces():
@@ -134,15 +140,21 @@ def test_stored_non_minimal_leading_fails_kernel_check(monkeypatch):
                              "minimum 2 (1 instance failed)")
 
 
+DELTAS = st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+
+
 @st.composite
-def corrupted_traces(draw, stored=("matrices", "transitions"), algorithms=RUNNERS,
+def corrupted_traces(draw, stored=("matrices", "ops"), algorithms=RUNNERS,
                      change="add", sizes=(3, 9), blocks=(1, 3)):
     """A finished trace of one of the algorithms, on an m x m input with m
     in sizes and b in blocks (1 for revised1), with one entry of one
-    stored matrix or transition changed; a block trace has it in one of its
-    runs. change "add" adds a small value to any entry, "carry" adds it in
-    every later matrix that keeps the row too, "zero" zeroes a nonzero
-    entry (if there is one), None leaves the trace as it was run.
+    stored matrix changed, or one op list changed; a block trace has it in
+    one of its runs. For a matrix, change "add" adds a small value to any
+    entry, "carry" adds it in every later matrix that keeps the row too,
+    "zero" zeroes a nonzero entry (if there is one). For an op list, any
+    change either adds a small value to one op's coefficient or adds an op
+    (s, d, c) off the step's marks: neither s nor d is a column the step
+    marks. None leaves the trace as it was run.
     Returns the trace and its sweep traces keyed by their check names'
     prefix ("" unless block)."""
     algorithm = draw(st.sampled_from(sorted(algorithms)))
@@ -157,29 +169,44 @@ def corrupted_traces(draw, stored=("matrices", "transitions"), algorithms=RUNNER
     at = draw(st.integers(0, len(runs) - 1)) if runs else None
     target = runs[at].trace if runs else trace
     field = draw(st.sampled_from(stored))
-    seq = list(getattr(target, field))
-    if not seq:  # a revised run on a zero matrix has no transitions
-        field, seq = "matrices", list(target.matrices)
-    k = draw(st.integers(0, len(seq) - 1))
-    changed = thaw(seq[k])
-    if change in ("add", "carry"):
-        i, j = draw(st.integers(1, m)), draw(st.integers(1, m))
-        changed[i - 1][j - 1] += draw(st.sampled_from(
-            (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))))
-    nonzeros = [(i, j) for i, row in enumerate(changed)
-                for j, v in enumerate(row) if v]
-    if change == "zero" and nonzeros:
-        i, j = draw(st.sampled_from(nonzeros))
-        changed[i][j] = 0
-    if change == "carry":
-        row, new_row = seq[k][i - 1], tuple(changed[i - 1])
-        for t in range(k, len(seq)):
-            if seq[t][i - 1] is not row:
-                break
-            seq[t] = seq[t][:i - 1] + (new_row,) + seq[t][i:]
+    if not target.ops:  # a revised run on a zero matrix has no op lists
+        field = "matrices"
+    if field == "ops":
+        r = draw(st.integers(0, len(target.ops) - 1))
+        ops = target.ops[r]
+        if change is None:
+            pass
+        elif ops and draw(st.booleans()):
+            k = draw(st.integers(0, len(ops) - 1))
+            s, d, c = ops[k]
+            target = doctor_op(target, r, (s, d, norm(c + draw(DELTAS))), k)
+        else:
+            marks = ([target.registry.marks[r]] if target.algorithm == "revised1"
+                     else target.registry.on_diagonal(r))
+            off = [i for i in range(1, m + 1) if i not in {mk.position[1] for mk in marks}]
+            target = doctor_op(target, r, (draw(st.sampled_from(off)),
+                                           draw(st.sampled_from(off)), draw(DELTAS)))
     else:
-        seq[k] = freeze(changed)
-    target = dataclasses.replace(target, **{field: tuple(seq)})
+        seq = list(target.matrices)
+        k = draw(st.integers(0, len(seq) - 1))
+        changed = thaw(seq[k])
+        if change in ("add", "carry"):
+            i, j = draw(st.integers(1, m)), draw(st.integers(1, m))
+            changed[i - 1][j - 1] += draw(DELTAS)
+        nonzeros = [(i, j) for i, row in enumerate(changed)
+                    for j, v in enumerate(row) if v]
+        if change == "zero" and nonzeros:
+            i, j = draw(st.sampled_from(nonzeros))
+            changed[i][j] = 0
+        if change == "carry":
+            row, new_row = seq[k][i - 1], tuple(changed[i - 1])
+            for t in range(k, len(seq)):
+                if seq[t][i - 1] is not row:
+                    break
+                seq[t] = seq[t][:i - 1] + (new_row,) + seq[t][i:]
+        else:
+            seq[k] = freeze(changed)
+        target = dataclasses.replace(target, matrices=tuple(seq))
     if not runs:
         return target, {"": target}
     runs[at] = dataclasses.replace(runs[at], trace=target)
@@ -192,10 +219,10 @@ def corrupted_traces(draw, stored=("matrices", "transitions"), algorithms=RUNNER
                  corrupted_traces(algorithms=("revised1", "rowcancel"), sizes=(10, 24),
                                   blocks=(1, 1))))
 def test_similarity_verdict_matches_dense_product(case):
-    """The verdict and the first failing link: the running-basis left side
-    carried from link to link names the link the dense product does, and
-    the cross-multiplied per-link test agrees with Fraction arithmetic on
-    dense one-block runs, whose sums and products outgrow a machine word."""
+    """The verdict and the first failing link: the sparse per-link test
+    names the link the dense product does, running traces included, and
+    agrees with Fraction arithmetic on dense one-block runs, whose sums and
+    products outgrow a machine word."""
     trace, sweeps = case
     verdicts = {name: (ok, detail) for name, ok, detail in verify_trace(trace)}
     for prefix, sweep in sweeps.items():
@@ -210,10 +237,45 @@ def test_any_changed_matrix_entry_fails_a_check(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(corrupted_traces(stored=("transitions",)))
+@given(corrupted_traces(stored=("ops",)))
 def test_any_changed_transition_entry_fails_a_check(case):
+    """A changed op changes its step's T^r, and the trace then fails a
+    check, unless it is a z run that picked another kernel vector of
+    minimal leading coefficient: that is a run the integer sweep may make."""
     trace, _ = case
-    assert failing(verify_trace(trace))
+    assert failing(verify_trace(trace)) or reference.optimal_z_run(trace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_traces(algorithms=("accumulated", "incremental", "block"),
+                        change=None, sizes=(10, 18)))
+def test_relabelled_change_of_basis_mark_fails(case):
+    """A change-of-basis mark relabelled primary gives its row a second
+    primary pivot, so the pivots are no longer the input's rank jumps (see
+    verify's module docstring), and the below-diagonal check names it.
+    Every such mark of the drawn run is relabelled in turn; a relabelling
+    that MarkRegistry refuses, a second primary pivot in one column, is
+    skipped, and so is a run with no other. z runs mark as these do, and
+    the box enumeration of their kernel check would make each draw cost
+    seconds."""
+    trace, sweeps = case
+    relabelled = 0
+    for prefix, sweep in sweeps.items():
+        marks = sweep.registry.marks
+        for n in (n for n, mk in enumerate(marks) if mk.kind == CHANGE_OF_BASIS):
+            try:
+                registry = MarkRegistry(marks[:n] + (
+                    dataclasses.replace(marks[n], kind=PRIMARY),) + marks[n + 1:])
+            except AlgorithmError:
+                continue
+            bad = dataclasses.replace(sweep, registry=registry)
+            if prefix:
+                bad = dataclasses.replace(trace, runs=tuple(
+                    dataclasses.replace(run, trace=bad) if f"block{run.k}_" == prefix
+                    else run for run in trace.runs))
+            assert prefix + "below_diagonal_pivot_structure" in failing(verify_trace(bad))
+            relabelled += 1
+    assume(relabelled)
 
 
 @settings(max_examples=150, deadline=None)
@@ -284,14 +346,13 @@ def test_unchanged_row_is_read_at_each_entry_that_falls_below():
     assert got["below_diagonal_pivot_structure"] == verdict
 
 
-@pytest.mark.parametrize("runner, position, value", [
-    (sweep_over_z, (4, 4), 2),         # a basis rescaled with no mark
-    (row_cancellation, (4, 4), 0),     # a singular transition
-    (revised_one_block, (1, 3), 1),    # a row no pivot column indexes
+@pytest.mark.parametrize("runner, op", [
+    (sweep_over_z, (4, 4, 1)),         # a basis rescaled with no mark
+    (row_cancellation, (4, 4, -1)),    # a singular transition
+    (revised_one_block, (1, 3, 1)),    # a row no pivot column indexes
 ], ids=["z", "rowcancel", "revised1"])
-def test_transition_off_its_marks_fails_only_transition_structure(
-        runner, position, value):
-    """Each change keeps every matrix check and the similarity product
-    form intact; only the transition rule sees it."""
-    bad = doctor_transition(runner(FIX_SPHERE), 0, *position, value)
+def test_transition_off_its_marks_fails_only_transition_structure(runner, op):
+    """Each op added to the first op list keeps every matrix check and the
+    similarity product form intact; only the transition rule sees it."""
+    bad = doctor_op(runner(FIX_SPHERE), 0, op)
     assert failing(verify_trace(bad)) == {"transition_structure"}
