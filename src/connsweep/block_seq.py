@@ -116,7 +116,7 @@ def revised_one_block(matrix):
     m = matrix.m
     work = matrix.sparse()
     active = set(range(m))  # 0-based
-    matrices = [work.frozen]
+    rows = [work.changes()]
     op_lists = []
     marks = []
     # Pivot rows strictly descend: rows at or below a pivot row stay zero
@@ -134,7 +134,7 @@ def revised_one_block(matrix):
         ops = tuple(cancel_ops(row, j_t + 1, [j + 1 for j in rest]))
         op_lists.append(ops)
         conjugate(work, ops)
-        matrices.append(work.snapshot())
+        rows.append(work.changes())
         active.remove(j_t)
-    return SweepTrace("revised1", matrix, tuple(matrices), tuple(op_lists),
+    return SweepTrace("revised1", matrix, tuple(rows), tuple(op_lists),
                       MarkRegistry(tuple(marks)))

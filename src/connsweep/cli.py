@@ -4,6 +4,8 @@ Subcommands: run, compare, tu check, surface check|gen, oracle pivots|ilp,
 gen random. Artifacts are deterministic: identical configs yield identical
 bytes. Exit codes: 0 success/equal, 1 precondition violated, 2 I/O error,
 3 verification failure, 4 internal error (a broken invariant, i.e. a bug).
+trace.txt and the reduction stages are written record by record from a
+trace's stored rows (SweepTrace.rows) and op lists.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice
 
 from . import verify as verify_mod
 from .block_seq import block_sequential_sweep, revised_one_block
 from .cmx import parse_cmx, serialize_cmx
 from .core import (PRIMARY, CmxError, ConnSweepError, InvalidMatrixError,
                    KernelProblem, PreconditionError)
-from .linalg import changed_rows, products
+from .linalg import products
 from .oracles import RandomSpec, ilp_brute_force, pivot_rank_oracle, \
     random_connection_matrix
 from .row_cancel import (cancellation_schedule, reduction_stages,
@@ -52,17 +54,16 @@ def _read_matrix(path):
         return parse_cmx(handle.read())
 
 
-def _entry_lines(seq):
-    """The 'entry' lines of each matrix of seq, a row formatted only where
-    linalg.changed_rows reports a change."""
-    per_row = {}  # every row of seq[0] is reported, in order
-    for dense, rows in zip(seq, changed_rows(seq)):
-        for i in rows:
-            row = dense[i]
+def _entry_lines(trace):
+    """The 'entry' lines of each matrix of trace, a row formatted only
+    where the trace stores a change."""
+    per_row, lines = {}, []  # per_row: each stored row's lines
+    for rows in trace.rows:
+        for i, row in rows.items():
             per_row[i] = [f"entry {i + 1} {j} {row[j - 1]}"
                           for j in compress(count(1), row)]
         if rows:
-            lines = list(chain.from_iterable(per_row.values()))
+            lines = list(chain.from_iterable(per_row[i] for i in sorted(per_row)))
         yield lines
 
 
@@ -103,7 +104,7 @@ def _trace_records(trace, full):
         records = [(f"r {r}", trace.registry.on_diagonal(r))
                    for r in range(1, trace.matrix.m)]
         next(t_lines, None)
-    m_lines = _entry_lines(trace.matrices[1:len(records) + 1])
+    m_lines = islice(_entry_lines(trace), 1, None)
     for label, marks in records:
         lines = [label]
         lines.extend(f"mark {mk.kind} {mk.position[0]} {mk.position[1]} {mk.value}"

@@ -5,7 +5,8 @@ All indices visible here are 1-based; dense row lists used internally are
 every operation is pure, so everything is safe to share across tasks. The
 input is read densely only through ConnectionMatrix.block, one kept view of
 each chain block J_{k-1} x J_k, and kernel_problem, its integer cut. A
-SweepTrace keeps the op lists of its run, never their dense products.
+SweepTrace keeps the op lists of its run, never their dense products, and
+of each matrix only the rows its step changed.
 """
 
 from __future__ import annotations
@@ -111,15 +112,8 @@ class ConnectionMatrix:
         return self.chain_index_map.get(idx)
 
     def sparse(self):
-        """The matrix as a linalg.SparseMatrix, built from the entries; the
-        rows without one share one zero row. Entries must be in range."""
-        zero = (0,) * self.m
-        rows, cols = {}, [[] for _ in range(self.m)]
-        for (i, j), v in self.entries.items():
-            rows.setdefault(i - 1, [0] * self.m)[j - 1] = v
-            cols[j - 1].append(i - 1)
-        return SparseMatrix(tuple(tuple(rows[i]) if i in rows else zero
-                                  for i in range(self.m)), cols)
+        """The matrix as a linalg.SparseMatrix. Entries must be in range."""
+        return SparseMatrix(self.m, self.entries.items())
 
     @cached_property
     def _blocks(self):
@@ -277,30 +271,38 @@ class MarkRegistry:
 
 @dataclass(frozen=True)
 class SweepTrace:
-    """Record of one sweeping run: matrices, op lists and marks.
+    """Record of one sweeping run: changed rows, op lists and marks.
 
     ops holds one tuple of (s, d, c) ops per step, as the run applied them
-    (see linalg.conjugate), and matrices one more matrix than ops: the m+1
-    and m of sweep_diagonals for a diagonal sweep of an m x m matrix, one
-    of each per step for the revised one-block run. Each matrix is a tuple
-    of row tuples sharing the rows its step left alone with the one before
-    (read back by linalg.changed_rows). linalg.products reads the change
-    of basis from ops, per step (T^r) or as P^r = T^0 T^1 ... T^r.
+    (see linalg.conjugate), and rows one more entry than ops, one per
+    matrix: rows[0] holds the input's nonzero rows and rows[s + 1] the rows
+    whose values op list s changed, each as {row: dense row tuple},
+    0-based (SparseMatrix.changes). A diagonal sweep of an m x m matrix
+    has the m+1 and m of sweep_diagonals, the revised one-block run one of
+    each per step. linalg.products reads the change of basis from ops, per
+    step (T^r) or as P^r = T^0 T^1 ... T^r.
     """
 
     algorithm: str
     matrix: ConnectionMatrix
-    matrices: tuple
+    rows: tuple
     ops: tuple
     registry: MarkRegistry
 
     def __post_init__(self):
-        if len(self.matrices) != len(self.ops) + 1:
-            raise AlgorithmError("trace shape: need len(matrices) == len(ops) + 1")
+        if len(self.rows) != len(self.ops) + 1:
+            raise AlgorithmError("trace shape: need len(rows) == len(ops) + 1")
 
-    @property
+    @cached_property
     def final(self):
-        return self.matrices[-1]
+        """The last matrix as a tuple of dense row tuples; the rows no step
+        stored share one zero row."""
+        m = self.matrix.m
+        final = [(0,) * m] * m
+        for rows in self.rows:
+            for i, row in rows.items():
+                final[i] = row
+        return tuple(final)
 
     @property
     def running(self):
@@ -355,16 +357,16 @@ def sweep_diagonals(matrix, change_of_basis):
     found and the row -> column map of every primary pivot so far, and
     linalg.conjugate applies them. Row cancellation's rule clears a pivot's
     row when it is marked, so it never meets a change-of-basis pivot.
-    Returns the m+1 frozen matrices (the input, repeated for diagonal 0,
-    then the matrix after each diagonal), the m op lists as tuples (none on
-    diagonal 0) and the MarkRegistry, each matrix sharing the rows its ops
-    left alone. The scan reads only the rows filed under its diagonal: every
-    row that had an entry there in the input or gained one in a step (and
-    may have lost it since). The matrix must be valid; callers check that.
+    Returns the m+1 entries of SweepTrace.rows (the input's nonzero rows,
+    none for diagonal 0, then the rows each diagonal changed), the m op
+    lists as tuples (none on diagonal 0) and the MarkRegistry. The scan
+    reads only the rows filed under its diagonal: every row that had an
+    entry there in the input or gained one in a step (and may have lost it
+    since). The matrix must be valid; callers check that.
     """
     m = matrix.m
     work = matrix.sparse()
-    matrices = [work.frozen] * 2
+    rows = [work.changes(), work.changes()]  # the input's rows, none for op list 0
     op_lists = [()]
     marks = []
     primary_of_row = {}
@@ -384,8 +386,8 @@ def sweep_diagonals(matrix, change_of_basis):
         for i, j in conjugate(work, ops):
             if j - i > r:
                 pending.setdefault(j - i, set()).add(i)
-        matrices.append(work.snapshot())
-    return tuple(matrices), tuple(op_lists), MarkRegistry(tuple(marks))
+        rows.append(work.changes())
+    return tuple(rows), tuple(op_lists), MarkRegistry(tuple(marks))
 
 
 def marks_on_diagonal(trace, r):

@@ -4,18 +4,18 @@ Matrices are lists of row lists, or row tuples once frozen. Values are
 Python ints wherever possible and fractions.Fraction otherwise, so every
 operation is exact. Nothing here knows about chain partitions; callers
 pass blocks in. Changes of basis are lists of elementary ops, applied by
-conjugate to a SparseMatrix whose snapshots share unchanged rows
-(changed_rows alone reads that sharing back) and multiplied out by
+conjugate to a SparseMatrix built from its nonzeros, which gives out the
+rows each step changed (SparseMatrix.changes), and multiplied out by
 products, as T - I held by its nonzeros, so no identity is ever built.
 Integer lattices go through echelon alone, once each.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
-from operator import is_not
 
 
 def norm(v):
@@ -92,76 +92,39 @@ def solve_upper(n, b):
     return x
 
 
-class _Lazy(dict):
-    """A dict that fills in a missing key k with make(source[k])."""
-
-    def __init__(self, source, make):
-        super().__init__()
-        self.source, self.make = source, make
-
-    def __missing__(self, k):
-        value = self[k] = self.make(self.source[k])
-        return value
-
-
-def _row_dict(dense):
-    return dict(zip(compress(count(), dense), filter(None, dense)))
-
-
 class SparseMatrix:
-    """A square matrix under elementary ops, kept by its nonzeros so that an
-    op costs the entries it touches: rows[i] maps column -> value and
-    cols[j] is the set of rows with a nonzero in column j (0-based). Each is
-    read when first used, from frozen, the last snapshot, and from cols0,
-    the first one's column index (found by a scan when not given)."""
+    """A square m x m matrix under elementary ops, kept by its nonzeros so
+    that an op costs the entries it touches: rows[i] maps column -> value
+    and cols[j] is the set of rows with a nonzero in column j, 0-based; a
+    row or column never written reads empty. entries gives the nonzeros as
+    ((i, j), value) pairs, 1-based. written holds the rows written since
+    the last call of changes."""
 
-    def __init__(self, frozen, cols0=None):
-        if cols0 is None:
-            cols0 = [[] for _ in frozen]
-            for i, row in enumerate(frozen):
-                for j in compress(count(), row):
-                    cols0[j].append(i)
-        self.frozen, self.written = frozen, set()
-        self.rows, self.cols = _Lazy(frozen, _row_dict), _Lazy(cols0, set)
+    def __init__(self, m, entries=()):
+        self.m, self.rows, self.cols = m, defaultdict(dict), defaultdict(set)
+        self.written, self._given = set(), {}  # _given: row -> last version given
+        for (i, j), v in entries:
+            self.rows[i - 1][j - 1] = v
+            self.cols[j - 1].add(i - 1)
+            self.written.add(i - 1)
 
     def __getitem__(self, i):
         return self.rows[i]
 
-    def snapshot(self):
-        """The matrix as a tuple of row tuples: a row written since the last
-        snapshot is frozen anew unless it equals the row there, every other
-        row is shared, and with no row changed the last snapshot is returned."""
-        old, out = self.frozen, None
-        for i in self.written:
-            dense = [0] * len(old)
+    def changes(self):
+        """{row: dense row tuple}, in row order, for the rows written since
+        the last call whose values differ from what they were then (zero
+        before the first call). A call with no row written costs nothing."""
+        out = {}
+        for i in sorted(self.written):
+            dense = [0] * self.m
             for j, v in self.rows[i].items():
                 dense[j] = v
-            dense = tuple(dense)
-            if dense != old[i]:
-                out = out or list(old)
-                out[i] = dense
+            dense, old = tuple(dense), self._given.get(i)
+            if (dense != old) if old else any(dense):
+                out[i] = self._given[i] = dense
         self.written = set()
-        if out is not None:
-            self.frozen = self.rows.source = tuple(out)
-        return self.frozen
-
-
-def changed_rows(seq):
-    """For each matrix of seq, the indices (0-based, ascending) of its rows
-    whose values differ from the matrix before's (every row of seq[0]). A
-    row that is the matrix before's own object is not compared: snapshots
-    share each row their step left alone, and this is the one reader of
-    that sharing."""
-    prev = None
-    for dense in seq:
-        if prev is None:
-            yield list(range(len(dense)))
-        elif dense is prev:
-            yield []
-        else:
-            yield [i for i in compress(count(), map(is_not, dense, prev))
-                   if dense[i] != prev[i]]
-        prev = dense
+        return out
 
 
 def _add(work, entries, c, created):
@@ -220,13 +183,12 @@ def products(m, op_lists, running=False):
     the rows (0-based) the list's ops wrote. (I + n)(I + c E_{s,d}) adds c
     times column s of n to its column d (conjugate's column update), and c
     at (s, d); n starts from zero rows, so it costs what the ops touch."""
-    zero = ((),) * m
-    n = SparseMatrix(zero, zero)
+    n = SparseMatrix(m)
     for ops in op_lists:
         if running:
             n.written = set()
         elif ops or n.written:  # one zero n serves a run of empty lists
-            n = SparseMatrix(zero, zero)
+            n = SparseMatrix(m)
         for s, d, c in ops:
             _add_column(n, s - 1, d - 1, c, [])
             _add(n, [(s - 1, d - 1, 1)], c, [])

@@ -110,7 +110,7 @@ def random_connection_matrix(spec):
         conjugate(work, [(a, c, lam)])
         if any(work.rows[i].get(j, 0) not in allowed for i, j in touched):
             conjugate(work, [(a, c, -lam)])
-    return cm.with_entries({(i + 1, j + 1): v for i in range(spec.m)
+    return cm.with_entries({(i + 1, j + 1): v for i in sorted(work.rows)
                             for j, v in work.rows[i].items()})
 
 

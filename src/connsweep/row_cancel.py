@@ -8,9 +8,9 @@ sweep), so no later entry of its row is nonzero. rc_transition_ops lists
 them; the same diagonal loop (core.sweep_diagonals) and conjugation kernel
 apply them, and the kernel's row operations only ever touch rows that end
 up zero. The run is recorded as a SweepTrace labelled "rowcancel", shaped
-like every other diagonal sweep's: m+1 matrices and m op lists. The last
-diagonal holds only (1, m), with nothing right of it, so its op list is
-empty.
+like every other diagonal sweep's: the changed rows of m+1 matrices and m
+op lists. The last diagonal holds only (1, m), with nothing right of it,
+so its op list is empty.
 
 Also here: the per-step reduced matrices obtained by deleting each
 cancelled row/column pair, and the cancellation schedule read off a trace.
@@ -24,7 +24,7 @@ from itertools import compress, count
 from .block_seq import block_runs
 from .core import (PRIMARY, AlgorithmError, ConnectionMatrix,
                    PreconditionError, SweepTrace, require_valid, sweep_diagonals)
-from .linalg import cancel_ops, changed_rows
+from .linalg import cancel_ops
 from .tu import SurfaceRejection, is_surface_connection_matrix
 
 
@@ -99,22 +99,22 @@ def reduction_stages(trace):
     reads matrix r of the trace and deletes the pairs of every pivot with
     diagonal < r; the closing stage m reads the final matrix and deletes
     them all. Removals are cumulative. A row's nonzero columns are read
-    again only where linalg.changed_rows reports a change, and a stage
-    reads just those columns of its surviving rows.
+    again only where the trace stores a change, and a stage reads just
+    those columns of its surviving rows.
     """
     pivots = sorted(((mk.position[0], mk.position[1], mk.diagonal)
                      for mk in trace.registry.marks if mk.kind == PRIMARY),
                     key=lambda rec: (rec[2], rec[1]))
-    mats = trace.matrices
-    removed, cols = set(), {}  # cols: each row's nonzero columns
-    for r, (source, rows) in enumerate(zip(mats, changed_rows(mats))):
+    source, cols = {}, {}  # each row's stored version and its nonzero columns
+    removed = set()
+    for r, rows in enumerate(trace.rows):
         new_pairs = tuple(rec for rec in pivots if rec[2] == r - 1)
         removed.update(idx for i, j, _ in new_pairs for idx in (i, j))
-        for i in rows:
-            cols[i + 1] = list(compress(count(1), source[i]))
+        for i, row in rows.items():
+            source[i + 1], cols[i + 1] = row, list(compress(count(1), row))
         surviving = tuple(i for i in range(1, trace.matrix.m + 1) if i not in removed)
-        entries = {(i, j): source[i - 1][j - 1]
-                   for i in surviving for j in cols[i] if j not in removed}
+        entries = {(i, j): source[i][j - 1]
+                   for i in surviving for j in cols.get(i, ()) if j not in removed}
         yield ReductionStep(r, surviving, new_pairs, entries)
 
 

@@ -82,12 +82,11 @@ def sample_non_tu_witness(matrix, *, samples=500, seed=0):
             return TuCounterexample((i,), (j,), int(v))
     rng = random.Random(seed)
     m = matrix.m
-    dense = matrix.sparse().frozen
     for _ in range(samples):
         k = rng.randint(2, max(2, min(m, 10)))
         rows = sorted(rng.sample(range(1, m + 1), k))
         cols = sorted(rng.sample(range(1, m + 1), k))
-        sub = [[dense[i - 1][j - 1] for j in cols] for i in rows]
+        sub = [[matrix.entries.get((i, j), 0) for j in cols] for i in rows]
         d = bareiss_det(sub)
         if d not in (-1, 0, 1):
             return TuCounterexample(tuple(rows), tuple(cols), d)

@@ -27,24 +27,25 @@ Each check gives a (name, passed, detail) triple; the CLI renders them
 into verify.txt. A failing check's detail is its first failure and how
 many instances failed (_failed), counted as the check reads them: an entry
 read once while it lasts over many matrices counts once. Checks recompute
-everything from the stored matrices and op lists and share no code with
-the sweeps. Every T^r obeys one rule (_transition_structure): upper
-triangular within chain groups, a unit diagonal (nonzero for z), and no
-change outside what the marks of its step allow. Similarity is checked
-link by link, T^r Delta^{r+1} == Delta^r T^r, never by inverting or
-replaying a change of basis; for the running bases P^r = P^{r-1} T^r of z
-and accumulated that is the same as P^r Delta^{r+1} == Delta^0 P^r.
+everything from the stored rows and op lists and share no code with the
+sweeps; input_valid also holds the first stored matrix to the input.
+Every T^r obeys one rule (_transition_structure): upper triangular within
+chain groups, a unit diagonal (nonzero for z), and no change outside what
+the marks of its step allow. Similarity is checked link by link, T^r
+Delta^{r+1} == Delta^r T^r, never by inverting or replaying a change of
+basis; for the running bases P^r = P^{r-1} T^r of z and accumulated that
+is the same as P^r Delta^{r+1} == Delta^0 P^r.
 
-Every check reads a stored sequence through linalg.changed_rows, the rows
-each matrix changed from the one before, as each row's versions
-(_row_versions): the matrices a version spans and its nonzero columns.
-The pattern check reads each version once; the below-diagonal check reads
-each entry of a version once, where it first lies below the diagonal, and
-each pivot in the versions of its row live after it joins; the final
-checks read each row's last version, and the revised run's column checks
-each row where it changes and where it first meets the pivot rows. Each
-T^r - I comes from the step's ops through linalg.products. So a check
-costs the entries the steps changed plus O(m) per matrix.
+A trace stores of each matrix the rows whose values differ from the matrix
+before's (SweepTrace.rows), and every check reads them as each row's
+versions (_row_versions): the matrices a version spans and its nonzero
+columns. The pattern check reads each version once; the below-diagonal
+check reads each entry of a version once, where it first lies below the
+diagonal, and each pivot in the versions of its row live after it joins;
+the final checks read each row's last version, and the revised run's
+column checks each row where it changes and where it first meets the pivot
+rows. Each T^r - I comes from the step's ops through linalg.products. So a
+check costs the rows and entries the steps changed plus O(m) per matrix.
 
 The product form is evaluated sparsely and exactly. With T = I + N, a link
 holds when Delta^{r+1} + N Delta^{r+1} == Delta^r + Delta^r N. The sides
@@ -54,7 +55,8 @@ and builds no Fraction: row i holds when Delta^r[i] + z equals
 Delta^{r+1}[i], z = (Delta^r N - N Delta^{r+1})[i] summed as unreduced
 (numerator, denominator) pairs and compared cross-multiplied, a few integer
 products per entry the step touched (elsewhere, by value where the entry
-objects differ).
+objects differ). Delta^r is one list of rows, moved on link by link by
+each step's stored rows.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from math import gcd
 from operator import is_not, itemgetter, le
 
 from .core import CHANGE_OF_BASIS, PRIMARY, pattern_test, validate
-from .linalg import changed_rows, products
+from .linalg import products
 from .oracles import ilp_box_fits, ilp_brute_force
 
 
@@ -90,10 +92,10 @@ def _add_terms(sums, c, entries):
         sums[j] = (sn + n, d) if sd == d else (sn * d + n * sd, sd * d)
 
 
-def _link_holds(a, b, n, changed):
-    """a + a N == b + N b for a = Delta^r, b = Delta^{r+1}, N by its row
-    changes and changed the rows b changed, row i as a[i] + z == b[i] for
-    z = (a N - N b)[i] summed by _add_terms (see the module docstring)."""
+def _link_holds(a, n, changed):
+    """a + a N == b + N b for a = Delta^r, N by its row changes and b =
+    Delta^{r+1}, a with the rows changed replaced: row i as a[i] + z == b[i]
+    for z = (a N - N b)[i] summed by _add_terms (see the module docstring)."""
     zs = {i: {} for i in {*n, *changed}}  # row i -> its z
     for k, entries in n.items():
         ratios = _ratios(entries)
@@ -101,10 +103,10 @@ def _link_holds(a, b, n, changed):
             _add_terms(zs.setdefault(i, {}), a[i][k], ratios)
     for i, entries in n.items():
         for k, c in entries:
-            _add_terms(zs[i], -c,
-                       _ratios(zip(compress(count(), b[k]), filter(None, b[k]))))
+            bk = changed.get(k, a[k])
+            _add_terms(zs[i], -c, _ratios(zip(compress(count(), bk), filter(None, bk))))
     for i, z in zs.items():
-        ai, bi = a[i], b[i]
+        ai, bi = a[i], changed.get(i, a[i])
         for j, (zn, zd) in z.items():
             u, v = ai[j], bi[j]
             an, ad, bn, bd = u.numerator, u.denominator, v.numerator, v.denominator
@@ -116,23 +118,33 @@ def _link_holds(a, b, n, changed):
     return True
 
 
+def _matrix_rows(m, rows):
+    """An m x m matrix as one list of row tuples, from its stored rows."""
+    a = [(0,) * m] * m
+    for i, row in rows.items():
+        a[i] = row
+    return a
+
+
 def _delta0_products(trace, changes):
-    """Delta^0 P^r for each running basis P^r, each from the one before:
-    Delta^0 P^r = Delta^0 P^{r-1} + Delta^0 P^{r-1} (T^r - I), P^{-1} = I,
-    changes[r] = T^r - I; with T^r = I the row list before is kept."""
-    product, out = trace.matrices[0], []
+    """The stored rows of Delta^0 P^r for the running bases P^r, as
+    SweepTrace.rows holds a trace's matrices, each product from the one
+    before: Delta^0 P^r = Delta^0 P^{r-1} + Delta^0 P^{r-1} (T^r - I),
+    P^{-1} = I, changes[r] = T^r - I."""
+    product, out = _matrix_rows(trace.matrix.m, trace.rows[0]), []
     for n in changes:
-        if n:
-            rows = {}  # row i gains product[i][k] * (T^r - I)[k], product[i][k] != 0
-            for k, entries in n.items():
-                for i in compress(count(), map(itemgetter(k), product)):
-                    row = rows.setdefault(i, list(product[i]))
-                    for j, c in entries:
-                        row[j] += product[i][k] * c
-            product = list(product)
-            for i, row in rows.items():
-                product[i] = tuple(row)
-        out.append(product)
+        rows = {}  # row i gains product[i][k] * (T^r - I)[k], product[i][k] != 0
+        for k, entries in n.items():
+            for i in compress(count(), map(itemgetter(k), product)):
+                row = rows.setdefault(i, list(product[i]))
+                for j, c in entries:
+                    row[j] += product[i][k] * c
+        changed = {}
+        for i, row in rows.items():
+            if (row := tuple(row)) != product[i]:
+                changed[i] = product[i] = row
+        out.append(changed)
+    out[0] = {**trace.rows[0], **out[0]}  # Delta^0 P^0 is stored whole
     return out
 
 
@@ -146,18 +158,33 @@ def _check(out, name, failures):
     out.append((name, not failures, _failed(failures) if failures else ""))
 
 
-def _row_versions(seq, changed):
-    """Each row's versions in seq, given changed_rows(seq): a (start, end,
-    nonzero columns, 0-based) triple per run of matrices start..end - 1
-    holding the row, in order; each distinct row object is scanned once."""
-    starts = [[] for _ in seq[0]]
-    for r, rows in enumerate(changed):
-        for i in rows:
-            starts[i].append(r)
-    distinct = {id(seq[s][i]): seq[s][i] for i, ss in enumerate(starts) for s in ss}
-    cols = {key: tuple(compress(count(), row)) for key, row in distinct.items()}
-    return [[(s, e, cols[id(seq[s][i])]) for s, e in zip(ss, [*ss[1:], len(seq)])]
-            for i, ss in enumerate(starts)]
+def _input_valid(out, trace, versions):
+    """The input is valid, and matrix 0 holds its nonzeros, no other;
+    versions as _row_versions gives them."""
+    first, entries = trace.rows[0], trace.matrix.entries
+    stored = {(i + 1, j + 1): first[i][j] for i, vs in enumerate(versions) for j in vs[0][2]}
+    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)] + [
+        f"matrix 0 differs from the input at {pos}"
+        for pos in sorted(stored.keys() | entries.keys())
+        if stored.get(pos) != entries.get(pos)])
+
+
+def _row_versions(m, rows):
+    """Each row's versions in a sequence of m x m matrices stored as
+    SweepTrace.rows stores them: a (start, end, nonzero columns, 0-based)
+    triple per run of matrices start..end - 1 holding the row, in order. A
+    row rows[0] lacks is zero in matrix 0, and the rows never stored share
+    one list."""
+    end, stored = len(rows), {}  # stored: row -> [(start, nonzero columns), ...]
+    for s, changed in enumerate(rows):
+        for i, row in changed.items():
+            stored.setdefault(i, [(0, ())] if s else []).append(
+                (s, tuple(compress(count(), row))))
+    versions = [[(0, end, ())]] * m
+    for i, vs in stored.items():
+        ends = [s for s, _ in vs[1:]] + [end]
+        versions[i] = [(s, e, cols) for (s, cols), e in zip(vs, ends)]
+    return versions
 
 
 def _pattern_compliance(out, name, versions, allowed):
@@ -239,14 +266,16 @@ def _transition_structure(out, trace, changes, allowed, unit_diagonal=True):
     _check(out, "transition_structure", bad)
 
 
-def _similarity(out, trace, changed, changes):
-    """T^r Delta^{r+1} == Delta^r T^r for every link r, given
-    changed_rows(trace.matrices) and changes[r] = T^r - I (_changes)."""
-    mats = trace.matrices
-    _check(out, "similarity", [
-        f"T^{r} Delta^{r + 1} != Delta^{r} T^{r}"
-        for r, (n, a, b) in enumerate(zip(changes, mats, mats[1:]))
-        if (n or changed[r + 1]) and not _link_holds(a, b, n, changed[r + 1])])
+def _similarity(out, trace, changes):
+    """T^r Delta^{r+1} == Delta^r T^r for every link r, given changes[r] =
+    T^r - I (_changes); Delta^r is one list of rows, moved on link by link."""
+    a, bad = _matrix_rows(trace.matrix.m, trace.rows[0]), []
+    for r, (n, changed) in enumerate(zip(changes, trace.rows[1:])):
+        if (n or changed) and not _link_holds(a, n, changed):
+            bad.append(f"T^{r} Delta^{r + 1} != Delta^{r} T^{r}")
+        for i, row in changed.items():
+            a[i] = row
+    _check(out, "similarity", bad)
 
 
 def _final_zero_pattern(out, final, nonzeros, marks):
@@ -348,24 +377,28 @@ def _row_cancellation(out, versions, marks):
                                          for n, i in enumerate(rows) if i in rows[:n]])
 
 
-def _revised_columns(out, mats, marks, changed):
-    """A revised run's column checks from the rows each step changed
-    (changed_rows); step s makes matrix s. Where a row changes, only the
+def _revised_columns(out, trace):
+    """A revised run's column checks from the rows step s changed to make
+    matrix s, held as one list of rows. Where a row changes, only the
     entries whose objects differ are read, against the columns marked by
     step s - 1 and against each column's lowest nonzero row, found anew in
     matrix s when that row's entry turns zero. Pivot rows descend, so a row
     is read against the active columns where it first lies at or below a
     pivot row and wherever it changes after that."""
-    m, steps = len(mats[0]), len(marks)
+    m, marks = trace.matrix.m, trace.registry.marks
+    steps = len(marks)
     step_of = [steps + 1] * m  # column -> the step that marked it
     for s, mk in enumerate(marks, 1):
         step_of[mk.position[1] - 1] = min(step_of[mk.position[1] - 1], s)
-    low, top, zeros = [-1] * m, m, (0,) * m  # low: column -> its lowest nonzero row
+    low, top, mat = [-1] * m, m, [(0,) * m] * m  # low: column -> its lowest nonzero row
     moved, zeroed, shrunk = {}, [], set()  # moved: frozen column -> last step changing it
-    for s, rows in enumerate(changed):
+    for s, rows in enumerate(trace.rows):
         frozen = {j for j, marked in enumerate(step_of) if marked < s}
-        for i in rows:
-            row, prev = mats[s][i], mats[s - 1][i] if s else zeros
+        before = {i: mat[i] for i in rows}
+        for i, row in rows.items():
+            mat[i] = row
+        for i, row in rows.items():
+            prev = before[i]
             diff = list(compress(count(), map(is_not, row, prev)))
             if not frozen.isdisjoint(diff):
                 moved.update((j, s) for j in frozen.intersection(diff) if row[j] != prev[j])
@@ -374,12 +407,12 @@ def _revised_columns(out, mats, marks, changed):
                     shrunk.add((s, j))
                     low[j] = i
                 elif low[j] == i and not row[j]:
-                    low[j] = next((k for k in range(i - 1, -1, -1) if mats[s][k][j]), -1)
+                    low[j] = next((k for k in range(i - 1, -1, -1) if mat[k][j]), -1)
         if 0 < s <= steps:
             pivot_row = marks[s - 1].position[0]
             old_top, top = top, min(top, pivot_row - 1)
             to_read = {*range(top, old_top), *(i for i in rows if i >= top)}
-            if any(step_of[j] > s for i in to_read for j in compress(count(), mats[s][i])):
+            if any(step_of[j] > s for i in to_read for j in compress(count(), mat[i])):
                 zeroed.append(f"step {s}: active columns not zero from row "
                               f"{pivot_row} down")
     _check(out, "pivot_columns_frozen",
@@ -422,9 +455,11 @@ def verify_trace(trace):
     if algorithm not in ("z", "accumulated", "incremental", "rowcancel", "revised1"):
         raise ValueError(f"no verifier for algorithm {algorithm!r}")
     out = []
-    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
-    mats, marks = trace.matrices, trace.registry.marks
-    changed = list(changed_rows(mats))
+    m, marks = trace.matrix.m, trace.registry.marks
+    # A revised run is read row by row only in its first and last matrices.
+    versions = _row_versions(m, trace.rows if algorithm != "revised1" else (
+        trace.rows[0], {i: row for rows in trace.rows[1:] for i, row in rows.items()}))
+    _input_valid(out, trace, versions)
     changes = _changes(trace)
     if algorithm == "revised1":
         _check(out, "upper_triangular_pivots",
@@ -433,20 +468,17 @@ def verify_trace(trace):
         rows = [mk.position[0] for mk in marks]
         _check(out, "pivot_rows_descend", [f"pivot rows {rows} not strictly decreasing"]
                if rows != sorted(set(rows), reverse=True) else [])
-        _revised_columns(out, mats, marks, changed)
-        nonzeros = [tuple(compress(count(), row)) for row in trace.final]
+        _revised_columns(out, trace)
     else:
-        allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
-        versions = _row_versions(mats, changed)
+        allowed = pattern_test(trace.matrix.partition, m)
         _pattern_compliance(out, "pattern_compliance", versions, allowed)
         if trace.running:
-            delta0_p = _delta0_products(trace, changes)
-            _pattern_compliance(out, "pattern_compliance_product",
-                                _row_versions(delta0_p, changed_rows(delta0_p)), allowed)
+            _pattern_compliance(out, "pattern_compliance_product", _row_versions(
+                m, _delta0_products(trace, changes)), allowed)
         _below_diagonal_structure(out, versions, marks)
         if algorithm == "rowcancel":
             _row_cancellation(out, versions, marks)
-        nonzeros = [vs[-1][2] for vs in versions]
+    nonzeros = [vs[-1][2] for vs in versions]
     # A row-cancelling step t (the diagonal, or the revised run's mark
     # index) may change row j of T for its pivot (i, j); change-of-basis
     # mark (i, j) only (p, j), (i, p) a pivot, or for z, whose leading
@@ -460,7 +492,7 @@ def verify_trace(trace):
                                 col_of_row.get(mk.position[0], 0), mk.position[1]))
                  for mk in marks if mk.kind == CHANGE_OF_BASIS]
     _transition_structure(out, trace, changes, steps, unit_diagonal=algorithm != "z")
-    _similarity(out, trace, changed, changes)
+    _similarity(out, trace, changes)
     _final_zero_pattern(out, trace.final, nonzeros, marks)
     if algorithm != "revised1":
         _final_complementarity(out, nonzeros)

@@ -1,12 +1,13 @@
 """Independent reference computations that tests compare the package against."""
 
+import dataclasses
 from itertools import accumulate, compress, count
 from math import gcd
 
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError, KernelProblem,
                        allowable_pattern, validate)
 from connsweep.core import pattern_test
-from connsweep.linalg import (changed_rows, clear_denominators, exact_div, identity,
+from connsweep.linalg import (SparseMatrix, clear_denominators, exact_div, identity,
                               norm, thaw, xgcd)
 from connsweep.verify import (_below_diagonal_structure, _check,
                               _delta0_products, _final_complementarity,
@@ -14,6 +15,42 @@ from connsweep.verify import (_below_diagonal_structure, _check,
                               _kernel_minimality, _pattern_compliance,
                               _pivot_rows, _revised_columns, _row_versions,
                               _similarity, _transition_structure, verify_block_runs)
+
+
+def matrices(trace):
+    """Every matrix of a trace, rebuilt from its stored rows, as a tuple of
+    row tuples; each matrix shares with the one before every row its step
+    did not store, and a matrix whose step stored none is the one before."""
+    m = trace.matrix.m
+    mat, out = (((0,) * m,) * m), []
+    for rows in trace.rows:
+        if rows:
+            mat = list(mat)
+            for i, row in rows.items():
+                mat[i] = row
+            mat = tuple(mat)
+        out.append(mat)
+    return tuple(out)
+
+
+def with_matrices(trace, mats):
+    """trace with its matrices replaced by mats, whole dense matrices
+    (row lists or tuples), stored as the trace stores them: of each matrix
+    the rows whose values differ from the matrix before's, all zero before
+    the first."""
+    m = trace.matrix.m
+    prev, rows = [(0,) * m] * m, []
+    for mat in mats:
+        mat = [tuple(row) for row in mat]
+        rows.append({i: row for i, (row, old) in enumerate(zip(mat, prev)) if row != old})
+        prev = mat
+    return dataclasses.replace(trace, rows=tuple(rows))
+
+
+def sparse(dense):
+    """A SparseMatrix holding the nonzeros of a dense square matrix."""
+    return SparseMatrix(len(dense), (((i, j), v) for i, row in enumerate(dense, 1)
+                                     for j, v in enumerate(row, 1) if v))
 
 
 def dense_of(cm):
@@ -127,7 +164,7 @@ def similarity_holds(trace):
     """(ok, first failure) for every link T^r Delta^{r+1} == Delta^r T^r of
     a sweep trace's similarity chain, multiplied out densely and worded as
     verify words it, running traces (z, accumulated) included."""
-    mats = [thaw(x) for x in trace.matrices]
+    mats = [thaw(x) for x in matrices(trace)]
     return _verdict([f"T^{r} Delta^{r + 1} != Delta^{r} T^{r}"
                      for r, t in enumerate(transitions(trace))
                      if not mat_eq(mat_mul(t, mats[r + 1]), mat_mul(mats[r], t))])
@@ -153,7 +190,7 @@ def dense_check_verdicts(trace):
     the pattern is allowable_pattern's set, each diagonal's pivot map is
     rebuilt from the marks, and the final matrix is transposed."""
     m = trace.matrix.m
-    mats = trace.matrices
+    mats = matrices(trace)
     marks = trace.registry.marks
     allowed = allowable_pattern(trace.matrix.partition, m)
     out = {}
@@ -208,7 +245,7 @@ def pivot_zeroed_verdicts(trace):
     """{check name: (ok, first failure)} for a row-cancellation trace's
     pivot_row_zeroed and pivot_right_zeroed, reading each pivot's row in
     every matrix after its diagonal."""
-    mats = trace.matrices
+    mats = matrices(trace)
     row_bad, right_bad = [], []
     for mk in trace.registry.marks:
         i, j = mk.position
@@ -235,7 +272,7 @@ def revised_column_verdicts(trace):
     shrunk = []
     active = set(range(1, m + 1))
     trailing = None
-    for s, dense in enumerate(trace.matrices):
+    for s, dense in enumerate(matrices(trace)):
         cols = list(zip(*dense))
         for t, col in marked.items():
             if cols[marks[t].position[1] - 1] != col:
@@ -269,7 +306,7 @@ def reduction_steps(trace):
     pivots = sorted(((mk.position[0], mk.position[1], mk.diagonal)
                      for mk in trace.registry.marks if mk.kind == PRIMARY),
                     key=lambda rec: (rec[2], rec[1]))
-    steps = []
+    steps, mats = [], matrices(trace)
     for r in range(m + 1):
         removed = set()
         new_pairs = []
@@ -280,7 +317,7 @@ def reduction_steps(trace):
                 if xi == r - 1:
                     new_pairs.append((i, j, xi))
         surviving = tuple(idx for idx in range(1, m + 1) if idx not in removed)
-        source = trace.matrices[r]
+        source = mats[r]
         entries = {}
         for i in surviving:
             row = source[i - 1]
@@ -353,6 +390,7 @@ def trace_lines(trace, full):
             lines.extend(trace_lines(run.trace, full))
         return lines
     ts = running_bases(trace) if trace.running else transitions(trace)
+    mats = matrices(trace)
     if trace.algorithm == "revised1":
         records = [(f"step {t}", [mk], ts[t - 1], t)
                    for t, mk in enumerate(trace.registry.marks, start=1)]
@@ -367,7 +405,7 @@ def trace_lines(trace, full):
         lines.extend(_entry_lines(t))
         if full:
             lines.append("matrix")
-            lines.extend(_entry_lines(trace.matrices[idx]))
+            lines.extend(_entry_lines(mats[idx]))
     return lines
 
 
@@ -490,19 +528,28 @@ def solve_min_leading(problem):
 # as they were as its equivalence oracle; they call verify.py's helpers.
 
 
+def input_valid(out, trace):
+    """verify's input_valid, read densely: the input is valid and matrix 0
+    equals it entry by entry."""
+    m, first = trace.matrix.m, matrices(trace)[0]
+    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)] + [
+        f"matrix 0 differs from the input at {(i, j)}"
+        for i in range(1, m + 1) for j in range(1, m + 1)
+        if first[i - 1][j - 1] != trace.matrix.entries.get((i, j), 0)])
+
+
 def verify_sweep(trace):
     """Checks for z / accumulated / incremental sweep traces."""
     out = []
-    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
-    allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
-    changed = list(changed_rows(trace.matrices))
-    versions = _row_versions(trace.matrices, changed)
+    input_valid(out, trace)
+    m = trace.matrix.m
+    allowed = pattern_test(trace.matrix.partition, m)
+    versions = _row_versions(m, trace.rows)
     _pattern_compliance(out, "pattern_compliance", versions, allowed)
     changes = [offsets(t) for t in transitions(trace)]
     if trace.running:
-        products = _delta0_products(trace, changes)
         _pattern_compliance(out, "pattern_compliance_product",
-                            _row_versions(products, changed_rows(products)), allowed)
+                            _row_versions(m, _delta0_products(trace, changes)), allowed)
     marks = trace.registry.marks
     _below_diagonal_structure(out, versions, marks)
     # Mark (i, j) may change only (p, j) of T^r, (i, p) a pivot, or column j for z.
@@ -513,7 +560,7 @@ def verify_sweep(trace):
                         primary_col_of_row.get(mk.position[0], 0), mk.position[1]))
          for mk in marks if mk.kind == CHANGE_OF_BASIS],
         unit_diagonal=trace.algorithm != "z")
-    _similarity(out, trace, changed, changes)
+    _similarity(out, trace, changes)
     nonzeros = [vs[-1][2] for vs in versions]
     _final_zero_pattern(out, trace.final, nonzeros, marks)
     _final_complementarity(out, nonzeros)
@@ -525,10 +572,9 @@ def verify_sweep(trace):
 def verify_row_cancellation(trace):
     """Structural checks for a row-cancellation trace, item by item."""
     out = []
-    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
+    input_valid(out, trace)
     allowed = pattern_test(trace.matrix.partition, trace.matrix.m)
-    changed = list(changed_rows(trace.matrices))
-    versions = _row_versions(trace.matrices, changed)
+    versions = _row_versions(trace.matrix.m, trace.rows)
     _pattern_compliance(out, "pattern_compliance", versions, allowed)
     marks = trace.registry.marks
     _below_diagonal_structure(out, versions, marks)
@@ -556,7 +602,7 @@ def verify_row_cancellation(trace):
     changes = [offsets(t) for t in transitions(trace)]
     _transition_structure(out, trace, changes,
                           [(mk.diagonal, (mk.position[1], None)) for mk in marks])
-    _similarity(out, trace, changed, changes)
+    _similarity(out, trace, changes)
     nonzeros = [vs[-1][2] for vs in versions]
     _final_zero_pattern(out, trace.final, nonzeros, marks)
     _final_complementarity(out, nonzeros)
@@ -568,21 +614,20 @@ def verify_revised(trace):
     columns, monotone trailing zeros, transition structure (step t changes
     only the row of mark t's pivot column), similarity, final zero pattern."""
     out = []
-    _check(out, "input_valid", [str(v) for v in validate(trace.matrix)])
-    mats, marks = trace.matrices, list(trace.registry.marks)
+    input_valid(out, trace)
+    marks = list(trace.registry.marks)
     _check(out, "upper_triangular_pivots",
            [f"pivot {mk.position} not above the diagonal" for mk in marks
             if mk.position[1] <= mk.position[0]])
     rows = [mk.position[0] for mk in marks]
     _check(out, "pivot_rows_descend", [f"pivot rows {rows} not strictly decreasing"]
            if rows != sorted(set(rows), reverse=True) else [])
-    changed = list(changed_rows(mats))
-    _revised_columns(out, mats, marks, changed)
+    _revised_columns(out, trace)
 
     changes = [offsets(t) for t in transitions(trace)]
     _transition_structure(out, trace, changes,
                           [(t, (mk.position[1], None)) for t, mk in enumerate(marks)])
-    _similarity(out, trace, changed, changes)
+    _similarity(out, trace, changes)
     _final_zero_pattern(out, trace.final,
                         [tuple(compress(count(), row)) for row in trace.final], marks)
     return out

@@ -22,8 +22,8 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, RandomSpec,
 from connsweep.fixtures import FIX_FIG3L, FIX_FIG3R
 from connsweep.linalg import thaw
 from connsweep.verify import verify_block_runs, verify_trace
-from reference import (is_identity, kernel_problems, mat_eq, mat_mul, running_bases,
-                       transitions)
+from reference import (is_identity, kernel_problems, mat_eq, mat_mul, matrices,
+                       running_bases, transitions)
 
 SURFACE_COUNT = 500
 TU_COUNT = 500
@@ -157,22 +157,24 @@ def general_results():
             failures["ac6"].append(tag)
 
         for trace in (tz, ta):
-            delta0 = thaw(trace.matrices[0])
+            mats = matrices(trace)
+            delta0 = thaw(mats[0])
             bases = running_bases(trace)
-            for r in range(1, len(trace.matrices)):
+            for r in range(1, len(mats)):
                 p = bases[r - 1]
-                if not mat_eq(mat_mul(p, thaw(trace.matrices[r])),
+                if not mat_eq(mat_mul(p, thaw(mats[r])),
                               mat_mul(delta0, p)):
                     failures["ac7"].append(tag + f" ({trace.algorithm} r={r})")
                     break
+        mats = matrices(ti)
         for r, t in enumerate(transitions(ti)):
             if is_identity(t):
-                if ti.matrices[r + 1] != ti.matrices[r]:
+                if mats[r + 1] != mats[r]:
                     failures["ac7"].append(tag + f" (incremental r={r})")
                     break
                 continue
-            if not mat_eq(mat_mul(t, thaw(ti.matrices[r + 1])),
-                          mat_mul(thaw(ti.matrices[r]), t)):
+            if not mat_eq(mat_mul(t, thaw(mats[r + 1])),
+                          mat_mul(thaw(mats[r]), t)):
                 failures["ac7"].append(tag + f" (incremental r={r})")
                 break
 

@@ -54,7 +54,7 @@ def test_revised_tucb():
 def test_revised_zero():
     trace = revised_one_block(FIX_ZERO)
     assert trace.registry.marks == ()
-    assert trace.matrices == (trace.matrices[0],)
+    assert trace.rows == ({},)
 
 
 def test_revised_cb():

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from connsweep import AlgorithmError
+from connsweep import AlgorithmError, ConnectionMatrix
 from connsweep.cli import EXIT_INTERNAL, _RUNNERS, build_parser, main
 from connsweep.cmx import parse_cmx, serialize_cmx
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_ZERO
@@ -117,6 +117,22 @@ def test_run_block_matches_incremental(tmp_path):
     for name in ("pivots.txt", "final.cmx", "schedule.txt"):
         assert read(os.path.join(out["block"], name)) == \
             read(os.path.join(out["incremental"], name))
+
+
+@pytest.mark.parametrize("algorithm", sorted(set(_RUNNERS) - {"smale"}))
+def test_run_verify_fails_a_sweep_of_another_input(algorithm, cb_path, tmp_path,
+                                                    monkeypatch):
+    """A sweep that reads its input with the last entry dropped runs to
+    the end; the first matrix it stores is not the input, and input_valid
+    says where."""
+    sparse = ConnectionMatrix.sparse
+    monkeypatch.setattr(ConnectionMatrix, "sparse", lambda matrix: sparse(
+        matrix.with_entries(list(matrix.entries.items())[:-1])))
+    out = str(tmp_path / "out")
+    assert main(["run", "-a", algorithm, "--verify", cb_path, "-o", out]) == 3
+    prefix = "block1_" if algorithm == "block" else ""
+    assert (f"FAIL {prefix}input_valid: matrix 0 differs from the input at (2, 4) "
+            "(1 instance failed)") in read(os.path.join(out, "verify.txt")).splitlines()
 
 
 def test_compare(sphere_path, tmp_path, capsys):

@@ -7,12 +7,10 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connsweep.linalg import (SparseMatrix, bareiss_det, changed_rows,
-                              clear_denominators, conjugate, echelon,
-                              exact_div, freeze, identity,
-                              integer_kernel_basis, norm, products, rank,
-                              reduce_mod_lattice, thaw, xgcd)
-from reference import invert_upper, is_identity, mat_mul, ops_product
+from connsweep.linalg import (bareiss_det, clear_denominators, conjugate, echelon,
+                              exact_div, identity, integer_kernel_basis, norm,
+                              products, rank, reduce_mod_lattice, xgcd)
+from reference import invert_upper, is_identity, mat_mul, ops_product, sparse
 
 
 def test_norm_and_exact_div():
@@ -185,9 +183,9 @@ def test_conjugate_is_similarity_by_ops_product(case):
     m, dense, ops = case
     t = ops_product(m, ops)
     expected = mat_mul(mat_mul(invert_upper(t), dense), t)
-    work = SparseMatrix(freeze(dense))
+    work = sparse(dense)
     conjugate(work, ops)
-    assert thaw(work.snapshot()) == expected
+    assert dense_rows(m, work) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,34 +220,44 @@ def test_products_multiply_out_each_list_and_the_running_product(case):
         assert all(before[i] == expected[i] for i in set(range(m)) - rows)
 
 
+def dense_rows(m, work):
+    """The rows of a SparseMatrix as dense lists."""
+    return [[work.rows[i].get(j, 0) for j in range(m)] for i in range(m)]
+
+
+def inverse_ops(ops):
+    """The op list of the inverse of the product of ops."""
+    return [(s, d, -exact_div(c, 1 + c) if s == d else -c) for s, d, c in reversed(ops)]
+
+
 @st.composite
-def snapshot_sequences(draw):
-    """(first, seq): the snapshots of a conjugated SparseMatrix, one per op
-    list (an empty list stores the same matrix again), after the first one;
-    in half the cases some rows are then replaced by new objects of equal
-    value, which a walk comparing identities alone would report."""
+def op_list_sequences(draw):
+    """(m, dense, op lists): a matrix and the op lists that conjugate it
+    step by step; in half the cases a list is followed by its inverse, a
+    step that writes rows but leaves every value as it was."""
     m, dense, _ = draw(conjugation_cases())
-    work = SparseMatrix(freeze(dense))
-    first = work.frozen
-    seq = []
+    op_lists = []
     for _ in range(draw(st.integers(1, 6))):
-        conjugate(work, draw(ops_lists(m, upper=True)))
-        seq.append(work.snapshot())
-    if draw(st.booleans()):
-        for r, i in draw(st.lists(st.tuples(st.integers(0, len(seq) - 1),
-                                             st.integers(0, m - 1)), max_size=6)):
-            seq[r] = seq[r][:i] + (tuple(list(seq[r][i])),) + seq[r][i + 1:]
-    return first, seq
+        op_lists.append(draw(ops_lists(m, upper=True)))
+        if draw(st.booleans()):
+            op_lists.append(inverse_ops(op_lists[-1]))
+    return m, dense, op_lists
 
 
 @settings(max_examples=200, deadline=None)
-@given(snapshot_sequences())
+@given(op_list_sequences())
 def test_changed_rows_are_the_rows_whose_values_differ(case):
-    """Whatever objects hold them, exactly the rows whose values differ
-    from the matrix before's, with every row of the first matrix reported,
-    there being none before it."""
-    first, seq = case
-    m = len(first)
-    expected = [[i for i in range(m) if mat[i] != prev[i]]
-                for prev, mat in zip([first, *seq], seq)]
-    assert list(changed_rows([first, *seq])) == [list(range(m)), *expected]
+    """SparseMatrix.changes gives, in row order and as dense tuples,
+    exactly the rows whose values differ from the matrix before's after
+    each op list, and at the first call the nonzero rows, there being
+    zero rows before them."""
+    m, dense, op_lists = case
+    work, before = sparse(dense), [[0] * m] * m
+    for ops in [[], *op_lists]:
+        conjugate(work, ops)
+        now = dense_rows(m, work)
+        got = work.changes()
+        assert list(got) == sorted(got)
+        assert got == {i: tuple(row) for i, (row, old) in enumerate(zip(now, before))
+                       if row != old}
+        before = now

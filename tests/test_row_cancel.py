@@ -13,10 +13,10 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        smale_cancellation_sweep, sweep_incremental,
                        betti_over_q)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.linalg import SparseMatrix, freeze, identity, thaw
+from connsweep.linalg import freeze, identity, thaw
 from connsweep.verify import verify_block_runs, verify_trace
-from reference import (dense_of, is_identity, mat_mul, ops_product,
-                       reduction_steps, transitions)
+from reference import (dense_of, is_identity, mat_mul, matrices, ops_product,
+                       reduction_steps, sparse, transitions)
 
 
 def pivots_of(trace):
@@ -27,8 +27,8 @@ def test_sphere():
     trace = row_cancellation(FIX_SPHERE)
     assert pivots_of(trace) == [((2, 3), 1, -1)]
     assert is_identity(transitions(trace)[1])
-    assert trace.final == trace.matrices[0]
-    assert len(trace.matrices) == 5 and len(trace.ops) == 4
+    assert trace.final == matrices(trace)[0]
+    assert len(trace.rows) == 5 and len(trace.ops) == 4
 
 
 def test_cb():
@@ -38,7 +38,7 @@ def test_cb():
     expected = identity(4)
     expected[2][3] = Fraction(-3, 2)
     assert t1 == expected
-    nonzero = {(i + 1, j + 1): v for i, row in enumerate(trace.matrices[2])
+    nonzero = {(i + 1, j + 1): v for i, row in enumerate(matrices(trace)[2])
                for j, v in enumerate(row) if v}
     assert nonzero == {(1, 3): 2, (2, 3): -2}
 
@@ -46,11 +46,11 @@ def test_cb():
 def test_zero():
     trace = row_cancellation(FIX_ZERO)
     assert pivots_of(trace) == []
-    assert all(all(not v for row in mat for v in row) for mat in trace.matrices)
+    assert not any(trace.rows)
 
 
 def test_rc_transition_identity_cases():
-    delta = SparseMatrix(freeze([[0, 1], [0, 0]]))
+    delta = sparse([[0, 1], [0, 0]])
     assert rc_transition_ops(delta, []) == []
     assert rc_transition_ops(delta, [(1, 2)]) == []  # nothing right of it
     assert is_identity(ops_product(2, []))
@@ -58,7 +58,7 @@ def test_rc_transition_identity_cases():
 
 def test_rc_transition_cb():
     trace = row_cancellation(FIX_CB)
-    ops = rc_transition_ops(SparseMatrix(trace.matrices[1]), [(2, 3)])
+    ops = rc_transition_ops(sparse(matrices(trace)[1]), [(2, 3)])
     expected = identity(4)
     expected[2][3] = Fraction(-3, 2)
     assert ops_product(4, ops) == expected
@@ -67,7 +67,7 @@ def test_rc_transition_cb():
 
 
 def test_rc_transition_zero_pivot_is_bug_signal():
-    delta = SparseMatrix(freeze([[0, 0], [0, 0]]))
+    delta = sparse([[0, 0], [0, 0]])
     with pytest.raises(AlgorithmError):
         rc_transition_ops(delta, [(1, 2)])
 
@@ -78,7 +78,7 @@ def test_rc_transition_uniqueness_two_pivots():
     cm = ConnectionMatrix(
         6, [{1, 2}, {3, 4}, {5, 6}], {(1, 3): 2, (1, 4): 3, (3, 5): 1, (3, 6): 4})
     delta = freeze(dense_of(cm))
-    ops = rc_transition_ops(SparseMatrix(delta), [(3, 5), (1, 3)])
+    ops = rc_transition_ops(sparse(delta), [(3, 5), (1, 3)])
     # grouped pivot by pivot in increasing column order
     assert [s for (s, _, _) in ops] == sorted(s for (s, _, _) in ops)
     t = ops_product(6, ops)

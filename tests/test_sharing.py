@@ -1,9 +1,9 @@
-"""Row sharing in stored traces: a step stores only the rows it changed.
+"""Stored rows: a step stores only the rows it changed.
 
-Each matrix shares with the one before every row its step left
-unchanged, a trace and its verification hold no dense identity, and
-trace.txt, formatted once per distinct row, reads byte for byte as if
-every row were formatted afresh.
+Of each matrix a trace stores the rows whose values differ from the
+matrix before's, so every unchanged row is shared with it; a trace and its
+verification hold no dense identity, and trace.txt, formatted once per
+stored row, reads byte for byte as if every row were formatted afresh.
 """
 
 import tracemalloc
@@ -19,7 +19,7 @@ from connsweep import (ConnectionMatrix, RandomSpec, block_sequential_row_cancel
 from connsweep.cli import _trace_records
 from connsweep.verify import verify_trace
 from conftest import random_corpus
-from reference import trace_lines
+from reference import dense_of, invert_upper, mat_mul, trace_lines, transitions
 
 DIAGONAL_RUNNERS = (sweep_over_z, sweep_accumulated, sweep_incremental,
                     row_cancellation)
@@ -33,34 +33,33 @@ def _sweep_traces(trace):
     return [trace]
 
 
-def _assert_shares_equal_rows(seq, first_prev):
-    """Every row equal to the row before it (in the previous matrix of
-    seq, or in first_prev for seq[0]) is that same object."""
-    prev = first_prev
-    for r, mat in enumerate(seq):
-        for i, (row, before) in enumerate(zip(mat, prev)):
-            if row == before:
-                assert row is before, (r, i)
-        prev = mat
-
-
-def _assert_trace_shares(trace):
+def _assert_stores_changed_rows(trace):
+    """rows[0] holds the input's nonzero rows, and each rows[s + 1] the
+    rows whose values differ between matrices s and s + 1, the matrices
+    replayed densely from the input by each op list's T^{-1} Delta T."""
     for tr in _sweep_traces(trace):
-        _assert_shares_equal_rows(tr.matrices[1:], tr.matrices[0])
+        m, ts = tr.matrix.m, transitions(tr)
+        before, now = [(0,) * m] * m, dense_of(tr.matrix)
+        for s, rows in enumerate(tr.rows):
+            now = [tuple(row) for row in now]
+            assert rows == {i: row for i, (row, old) in enumerate(zip(now, before))
+                            if row != old}, s
+            if s < len(ts):
+                before, now = now, mat_mul(mat_mul(invert_upper(ts[s]), now), ts[s])
 
 
 @pytest.mark.parametrize("runner", DIAGONAL_RUNNERS + BLOCK_RUNNERS,
                          ids=lambda f: f.__name__)
 def test_unchanged_rows_are_shared(runner, small_corpus):
     for cm in small_corpus:
-        _assert_trace_shares(runner(cm))
+        _assert_stores_changed_rows(runner(cm))
 
 
 def test_revised_and_smale_share_unchanged_rows(one_block_corpus):
     for cm in one_block_corpus:
-        _assert_trace_shares(revised_one_block(cm))
+        _assert_stores_changed_rows(revised_one_block(cm))
     for seed in range(5):
-        _assert_trace_shares(smale_cancellation_sweep(
+        _assert_stores_changed_rows(smale_cancellation_sweep(
             generate_surface_matrix(seed, (3, 5, 3))))
 
 
@@ -74,7 +73,7 @@ def test_incremental_trace_retains_little():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(trace.matrices) == 257
+    assert len(trace.rows) == 257
     # a dense tuple copy per diagonal with ops retains about 30 MiB here
     assert retained < 4 * 2 ** 20
 
@@ -94,6 +93,15 @@ def test_one_entry_run_and_check_need_no_dense_identity(runner):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+def test_one_entry_sweep_stores_one_row():
+    """m = 1000 with a single entry that no step moves: the trace stores
+    that one row, once."""
+    cm = ConnectionMatrix(1000, [set(range(1, 1000)), {1000}], {(1, 1000): 1})
+    trace = sweep_incremental(cm)
+    assert sum(map(len, trace.rows)) == 1
+    assert list(trace.rows[0]) == [0]
 
 
 ALL_RUNNERS = DIAGONAL_RUNNERS + BLOCK_RUNNERS + (revised_one_block,)

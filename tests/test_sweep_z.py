@@ -14,7 +14,7 @@ from connsweep.linalg import (clear_denominators, echelon, exact_div,
 from connsweep.oracles import ilp_brute_force
 from connsweep.verify import verify_trace
 import reference
-from reference import (is_identity, kernel_problems, mat_mul, running_bases,
+from reference import (is_identity, kernel_problems, mat_mul, matrices, running_bases,
                        solve_upper_dense)
 
 
@@ -26,15 +26,15 @@ def marks_of(trace):
 def test_zero_matrix():
     trace = sweep_over_z(FIX_ZERO)
     assert marks_of(trace) == []
-    assert all(all(not v for row in mat for v in row) for mat in trace.matrices)
+    assert not any(trace.rows)
     assert all(is_identity(p) for p in running_bases(trace))
-    assert len(trace.matrices) == 4 and len(trace.ops) == 3
+    assert len(trace.rows) == 4 and len(trace.ops) == 3
 
 
 def test_sphere_trace():
     trace = sweep_over_z(FIX_SPHERE)
     assert marks_of(trace) == [((2, 3), PRIMARY, 1, -1)]
-    assert trace.matrices[-1] == trace.matrices[0]
+    assert trace.final == matrices(trace)[0]
 
 
 def test_cb_trace():
@@ -44,7 +44,7 @@ def test_cb_trace():
     [problem] = kernel_problems(trace)
     assert problem.a == ((-2, -3),) and problem.c == 2
     assert solve_min_leading(problem) == (-3, 2)
-    final = trace.matrices[-1]
+    final = trace.final
     nonzero = {(i + 1, j + 1): v for i, row in enumerate(final)
                for j, v in enumerate(row) if v}
     assert nonzero == {(1, 3): 2, (2, 3): -2}
@@ -175,11 +175,12 @@ TWO_CB_ONE_GROUP = ConnectionMatrix(8, [{1, 2, 3, 4}, {5, 6, 7, 8}], {
 def test_similarity_exact(small_corpus):
     for cm in small_corpus[:10] + [TWO_CB_ONE_GROUP]:
         trace = sweep_over_z(cm)
-        delta0 = thaw(trace.matrices[0])
+        mats = matrices(trace)
+        delta0 = thaw(mats[0])
         bases = running_bases(trace)
-        for r in range(1, len(trace.matrices)):
+        for r in range(1, len(mats)):
             p = bases[r - 1]
-            assert mat_mul(p, thaw(trace.matrices[r])) == mat_mul(delta0, p)
+            assert mat_mul(p, thaw(mats[r])) == mat_mul(delta0, p)
 
 
 def test_solve_upper_matches_dense_back_substitution(small_corpus, monkeypatch):

@@ -17,11 +17,11 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError, ConnectionMatri
                        sweep_over_z, sweep_z, verify)
 from connsweep.cmx import serialize_cmx
 from connsweep.fixtures import FIX_CB, FIX_SPHERE
-from connsweep.linalg import freeze, norm, thaw
+from connsweep.linalg import norm, thaw
 from connsweep.verify import verify_trace
 import reference
-from reference import (dense_check_verdicts, pivot_zeroed_verdicts,
-                       revised_column_verdicts, similarity_holds)
+from reference import (dense_check_verdicts, matrices, pivot_zeroed_verdicts,
+                       revised_column_verdicts, similarity_holds, with_matrices)
 
 RUNNERS = {"z": sweep_over_z, "accumulated": sweep_accumulated,
            "incremental": sweep_incremental, "rowcancel": row_cancellation,
@@ -45,11 +45,11 @@ def failing(checks):
 
 
 def doctor_final(trace, i, j, value):
-    mats = list(trace.matrices)
+    mats = list(matrices(trace))
     last = thaw(mats[-1])
     last[i - 1][j - 1] = value
-    mats[-1] = freeze(last)
-    return dataclasses.replace(trace, matrices=tuple(mats))
+    mats[-1] = last
+    return with_matrices(trace, mats)
 
 
 def doctor_op(trace, r, op, k=None):
@@ -149,12 +149,13 @@ def corrupted_traces(draw, stored=("matrices", "ops"), algorithms=RUNNERS,
     """A finished trace of one of the algorithms, on an m x m input with m
     in sizes and b in blocks (1 for revised1), with one entry of one
     stored matrix changed, or one op list changed; a block trace has it in
-    one of its runs. For a matrix, change "add" adds a small value to any
-    entry, "carry" adds it in every later matrix that keeps the row too,
-    "zero" zeroes a nonzero entry (if there is one). For an op list, any
-    change either adds a small value to one op's coefficient or adds an op
-    (s, d, c) off the step's marks: neither s nor d is a column the step
-    marks. None leaves the trace as it was run.
+    one of its runs. The matrices are read and stored whole, through
+    reference.matrices and with_matrices. For a matrix, change "add" adds
+    a small value to any entry, "carry" adds it in every later matrix that
+    keeps the row too, "zero" zeroes a nonzero entry (if there is one).
+    For an op list, any change either adds a small value to one op's
+    coefficient or adds an op (s, d, c) off the step's marks: neither s nor
+    d is a column the step marks. None leaves the trace as it was run.
     Returns the trace and its sweep traces keyed by their check names'
     prefix ("" unless block)."""
     algorithm = draw(st.sampled_from(sorted(algorithms)))
@@ -187,7 +188,7 @@ def corrupted_traces(draw, stored=("matrices", "ops"), algorithms=RUNNERS,
             target = doctor_op(target, r, (draw(st.sampled_from(off)),
                                            draw(st.sampled_from(off)), draw(DELTAS)))
     else:
-        seq = list(target.matrices)
+        seq = list(matrices(target))
         k = draw(st.integers(0, len(seq) - 1))
         changed = thaw(seq[k])
         if change in ("add", "carry"):
@@ -205,8 +206,8 @@ def corrupted_traces(draw, stored=("matrices", "ops"), algorithms=RUNNERS,
                     break
                 seq[t] = seq[t][:i - 1] + (new_row,) + seq[t][i:]
         else:
-            seq[k] = freeze(changed)
-        target = dataclasses.replace(target, matrices=tuple(seq))
+            seq[k] = changed
+        target = with_matrices(target, seq)
     if not runs:
         return target, {"": target}
     runs[at] = dataclasses.replace(runs[at], trace=target)
@@ -278,6 +279,27 @@ def test_relabelled_change_of_basis_mark_fails(case):
     assume(relabelled)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(("incremental", "rowcancel", "z", "revised1")),
+       st.integers(0, 10**6), st.floats(0.3, 0.9), st.data())
+def test_sweep_of_another_input_fails_input_valid(algorithm, seed, density, data):
+    """A trace swept on the input with one entry dropped, then labelled a
+    run of the whole input, may pass every other check (a wrong pivot set
+    among them); its first stored matrix is not the input, and
+    input_valid names the dropped entry."""
+    matrix = random_connection_matrix(RandomSpec(
+        seed=seed, m=12, b=1, style="grouped", density=density,
+        values=tuple(range(-3, 4))))
+    assume(matrix.entries)
+    (i, j), _ = data.draw(st.sampled_from(sorted(matrix.entries.items())))
+    swept = RUNNERS[algorithm](matrix.with_entries(
+        {pos: v for pos, v in matrix.entries.items() if pos != (i, j)}))
+    got = {name: (ok, detail) for name, ok, detail in
+           verify_trace(dataclasses.replace(swept, matrix=matrix))}
+    assert got["input_valid"] == (False, f"matrix 0 differs from the input at {(i, j)} "
+                                         "(1 instance failed)")
+
+
 @settings(max_examples=150, deadline=None)
 @given(corrupted_traces(stored=("matrices",), algorithms=("rowcancel",)))
 def test_pivot_zeroed_checks_match_reading_every_matrix(case):
@@ -337,8 +359,7 @@ def test_unchanged_row_is_read_at_each_entry_that_falls_below():
     (1, 3) sits on a pivot, (1, 4) falls below at matrix 4 above none."""
     trace = sweep_incremental(ConnectionMatrix(4, [{1, 2}, {3, 4}], {(1, 3): 1}))
     row = (0, 0, 1, 1)
-    bad = dataclasses.replace(trace, matrices=tuple(
-        (row,) + mat[1:] for mat in trace.matrices))
+    bad = with_matrices(trace, [(row,) + mat[1:] for mat in matrices(trace)])
     verdict = (False, "matrix 4: nonzero at (1, 4) below diagonal 4 is neither "
                       "a primary pivot nor above one (1 instance failed)")
     assert dense_check_verdicts(bad)["below_diagonal_pivot_structure"] == verdict
