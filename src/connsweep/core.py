@@ -4,7 +4,7 @@ All indices visible here are 1-based; dense row lists used internally are
 0-based and converted at the boundary. Every type is an immutable value and
 every operation is pure, so everything is safe to share across tasks. The
 input is read densely only through ConnectionMatrix.block, one kept view of
-each chain block J_{k-1} x J_k, and kernel_problem, its integer cut. A
+each chain block J_{k-1} x J_k, and kernel_problem, verify's integer cut. A
 SweepTrace keeps the op lists of its run, never their dense products, and
 of each matrix only the rows its step changed.
 """
@@ -134,7 +134,9 @@ class ConnectionMatrix:
 
     def kernel_problem(self, i, j):
         """(columns, KernelProblem) of a change-of-basis mark (i, j): block
-        k's rows from i down and its columns up to j, k the chain index of j."""
+        k's rows from i down and its columns up to j, k the chain index of j.
+        verify's box check cuts its problems here; the z sweep reads them all
+        off one linalg.kernel_chain per block."""
         rows, cols, dense = self.block(self.chain_index(j))
         c = bisect_right(cols, j)
         return cols[:c], KernelProblem(

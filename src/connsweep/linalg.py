@@ -7,7 +7,8 @@ pass blocks in. Changes of basis are lists of elementary ops, applied by
 conjugate to a SparseMatrix built from its nonzeros, which gives out the
 rows each step changed (SparseMatrix.changes), and multiplied out by
 products, as T - I held by its nonzeros, so no identity is ever built.
-Integer lattices go through echelon alone, once each.
+Integer kernels are built row by row, one lattice chain per list of rows
+(kernel_chain), in the echelon form reduce_mod_lattice reads.
 """
 
 from __future__ import annotations
@@ -58,19 +59,8 @@ def exact_div(a, b):
     return norm(Fraction(a) / Fraction(b))
 
 
-def identity(n):
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
 def freeze(a):
     return tuple(tuple(row) for row in a)
-
-
-def thaw(a):
-    return [list(row) for row in a]
 
 
 def solve_upper(n, b):
@@ -281,47 +271,45 @@ def clear_denominators(rows):
     return out
 
 
-def echelon(vectors):
-    """Echelon basis of the lattice the integer vectors generate, as
-    {pivot: vector}: a vector's pivot is its last nonzero coordinate, made
-    positive, and no two vectors share one. Two vectors meeting at a pivot
-    are replaced by a unimodular xgcd combination of the two, one holding
-    their gcd there and one zero, so the lattice is kept; a vector that
-    reaches zero is dropped (Hermite-style; Cohen, §2.4)."""
-    ech = {}
-    for b in vectors:
-        b = list(b)
-        for p in range(len(b) - 1, -1, -1):
-            if not b[p]:
-                continue
-            e = ech.get(p)
-            if e is None:
-                ech[p] = b if b[p] > 0 else [-x for x in b]
-                break
-            g, x, y = xgcd(e[p], b[p])
-            s, t = e[p] // g, b[p] // g
-            ech[p] = [x * u + y * w for u, w in zip(e, b)]
-            b = [s * w - t * u for u, w in zip(e, b)]
-    return ech
+def kernel_chain(rows, n):
+    """For p = 0..len(rows), an echelon basis {pivot: vector} of the integer
+    kernel L_p = {x in Z^n : rows[p:] @ x == 0}, for integer rows: a
+    vector's pivot is its last nonzero coordinate, made positive, and no two
+    vectors share one (Hermite-style; Cohen, §2.4).
 
-
-def integer_kernel_basis(rows, n_cols):
-    """Echelon basis {pivot: vector} of {x in Z^n : rows @ x == 0}.
-
-    The vectors (e_j, column j of rows) generate {(x, rows @ x)}; of their
-    echelon basis, those pivoting among the first n coordinates have
-    rows @ x == 0 and generate the whole integer kernel, not merely a
-    finite-index sublattice; zero past their pivots, they stay in echelon
-    form cut to n coordinates.
+    L_p = L_{p+1} ∩ {x : rows[p] @ x == 0}, from L_len(rows) = Z^n on the
+    unit vectors. One pass over L_{p+1} in pivot order keeps each vector the
+    row annuls, the same object, and meets any other with a carrier in one
+    unimodular xgcd step: that keeps a combination the row annuls, at the
+    later pivot, and carries on with one holding the gcd of the two values;
+    the last carrier is dropped. Each kept combination is reduced modulo
+    the vectors kept before it (reduce_mod_lattice), which keeps the
+    entries at the size of the answers.
     """
-    ech = echelon([e_j + [row[j] for row in rows]
-                   for j, e_j in enumerate(identity(n_cols))])
-    return {p: e[:n_cols] for p, e in ech.items() if p < n_cols}
+    chain = [{q: [int(k == q) for k in range(n)] for q in range(n)}]
+    for row in reversed(rows):
+        nonzeros = [(k, a) for k, a in enumerate(row) if a]
+        basis, carrier = {}, None
+        for q, h in chain[-1].items():
+            v = sum(h[k] * a for k, a in nonzeros)
+            if not v:
+                basis[q] = h
+            elif carrier is None:
+                carrier, cv = h, v
+            else:
+                g, x, y = xgcd(cv, v)
+                s, t = (cv // g, v // g) if cv > 0 else (-cv // g, -v // g)
+                kept = [s * e - t * c for c, e in zip(carrier, h)]
+                carrier, cv = [x * c + y * e for c, e in zip(carrier, h)], g
+                basis[q] = reduce_mod_lattice(kept, basis)
+        chain.append(basis)
+    chain.reverse()
+    return chain
 
 
 def reduce_mod_lattice(v, ech):
     """Canonical coset representative of v modulo the lattice of ech, an
-    echelon basis {pivot: vector} as echelon returns it.
+    echelon basis {pivot: vector} as kernel_chain gives it.
 
     v is reduced pivot by pivot from the last, to the symmetric residue
     range (-h/2, h/2] of each pivot h. Two such representatives of one

@@ -4,9 +4,11 @@ Same diagonal sweep and markup as the rational variants, but each
 change-of-basis pivot is resolved by an integer minimization: replace the
 pivot's basis column with the integer combination of columns of the same
 chain index that zeroes the pivot and everything below it with the least
-positive leading coefficient: ConnectionMatrix.kernel_problem cuts the
-problem, and one linalg.echelon pass solves it. The combination is
-integral; the matrices may not be.
+positive leading coefficient. One linalg.kernel_chain per chain group k,
+built at its first change-of-basis mark from block k with denominators
+cleared, holds the kernel of its rows from i down for every i, and
+least_leading reads mark (i, j) off it. The combination is integral;
+the matrices may not be.
 
 The trace keeps the op lists, read as the running basis P^r, whose
 column j is the combination found for a pivot in column j. The working
@@ -22,28 +24,30 @@ linalg.products moves on by each diagonal's ops.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .core import PRIMARY, AlgorithmError, SweepTrace, require_valid, sweep_diagonals
-from .linalg import (clear_denominators, exact_div, integer_kernel_basis, products,
+from .linalg import (clear_denominators, exact_div, kernel_chain, products,
                      reduce_mod_lattice, solve_upper)
 
 
-def solve_min_leading(problem):
-    """Optimal integer kernel vector with minimal positive last coordinate.
-
-    integer_kernel_basis gives the integer kernel lattice exactly, in one
-    linalg.echelon pass and in its echelon form. The achievable last
-    coordinates form hZ for h the pivot at c-1, so the vector pivoting
-    there has the minimal positive leading coefficient. The remaining
-    freedom, the other echelon vectors (those with last coordinate zero),
-    is fixed by reducing to the canonical symmetric-residue representative,
-    so results are deterministic.
-    """
-    c = problem.c
-    ech = integer_kernel_basis(clear_denominators(problem.a), c)
-    lead = ech.pop(c - 1, None)
+def least_leading(basis, j):
+    """Of the vectors zero past j in the lattice of basis, an echelon basis
+    {pivot: vector} as linalg.kernel_chain gives it, the one with the least
+    positive coordinate j: the vectors pivoting at or below j span them, so
+    it is the one pivoting at j, reduced modulo those pivoting below j to
+    the canonical representative, which depends on the lattice alone."""
+    lead = basis.get(j)
     if lead is None:
         raise AlgorithmError("no integer kernel vector with positive last coordinate")
-    return tuple(reduce_mod_lattice(lead, ech))
+    return tuple(reduce_mod_lattice(lead, {q: v for q, v in basis.items() if q < j}))
+
+
+def solve_min_leading(problem):
+    """Optimal integer kernel vector of a KernelProblem with minimal
+    positive last coordinate: least_leading on the kernel of all its rows."""
+    c = problem.c
+    return least_leading(kernel_chain(clear_denominators(problem.a), c)[0], c - 1)
 
 
 def sweep_over_z(matrix):
@@ -53,15 +57,20 @@ def sweep_over_z(matrix):
     op_lists = [()]  # grows by one list per diagonal, as steps reads it
     steps = products(m, op_lists, running=True)
     basis, _ = next(steps)  # P^{r-1} - I, updated in place by next(steps)
+    chains = {}  # chain group k -> kernel_chain of block k
 
     def integer_min_ops(work, found, primary_of_row):
         ops = []
         for i, j, kind in reversed(found):
             if kind == PRIMARY:
                 continue
-            cols_j, problem = matrix.kernel_problem(i, j)
+            k = matrix.chain_index(j)
+            rows, cols, dense = matrix.block(k)
+            if k not in chains:
+                chains[k] = kernel_chain(clear_denominators(dense), len(cols))
             x = [0] * m
-            for col, xv in zip(cols_j, solve_min_leading(problem)):
+            lattice = chains[k][bisect_left(rows, i)]
+            for col, xv in zip(cols, least_leading(lattice, bisect_left(cols, j))):
                 x[col - 1] = xv
             y = solve_upper(basis, x)
             ops += [(s, j, exact_div(ys, y[j - 1]))

@@ -7,14 +7,24 @@ from math import gcd
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError, KernelProblem,
                        allowable_pattern, validate)
 from connsweep.core import pattern_test
-from connsweep.linalg import (SparseMatrix, clear_denominators, exact_div, identity,
-                              norm, thaw, xgcd)
+from connsweep.linalg import SparseMatrix, clear_denominators, exact_div, norm, xgcd
 from connsweep.verify import (_below_diagonal_structure, _check,
                               _delta0_products, _final_complementarity,
                               _final_zero_pattern, _first_nonzero_after,
                               _kernel_minimality, _pattern_compliance,
                               _pivot_rows, _revised_columns, _row_versions,
                               _similarity, _transition_structure, verify_block_runs)
+
+
+def identity(n):
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
+
+
+def thaw(a):
+    return [list(row) for row in a]
 
 
 def matrices(trace):
@@ -409,11 +419,49 @@ def trace_lines(trace, full):
     return lines
 
 
+# The integer-lattice routines as they were before linalg.kernel_chain: one
+# echelon pass over the unit vectors augmented by the columns of the rows,
+# a whole problem at a time.
+
+
+def echelon(vectors):
+    """Echelon basis of the lattice the integer vectors generate, as
+    {pivot: vector}: a vector's pivot is its last nonzero coordinate, made
+    positive, and no two vectors share one. Two vectors meeting at a pivot
+    are replaced by a unimodular xgcd combination of the two, one holding
+    their gcd there and one zero, so the lattice is kept; a vector that
+    reaches zero is dropped (Hermite-style; Cohen, §2.4)."""
+    ech = {}
+    for b in vectors:
+        b = list(b)
+        for p in range(len(b) - 1, -1, -1):
+            if not b[p]:
+                continue
+            e = ech.get(p)
+            if e is None:
+                ech[p] = b if b[p] > 0 else [-x for x in b]
+                break
+            g, x, y = xgcd(e[p], b[p])
+            s, t = e[p] // g, b[p] // g
+            ech[p] = [x * u + y * w for u, w in zip(e, b)]
+            b = [s * w - t * u for u, w in zip(e, b)]
+    return ech
+
+
+def echelon_kernel_basis(rows, n_cols):
+    """Echelon basis {pivot: vector} of {x in Z^n : rows @ x == 0}: of the
+    echelon basis of the vectors (e_j, column j of rows), those pivoting
+    among the first n coordinates, cut to them."""
+    ech = echelon([e_j + [row[j] for row in rows]
+                   for j, e_j in enumerate(identity(n_cols))])
+    return {p: e[:n_cols] for p, e in ech.items() if p < n_cols}
+
+
 # The integer-lattice routines as they were before linalg.echelon: a
 # two-column xgcd elimination for the kernel, a separate echelon loop for
 # the canonical reduction, and a gcd scan with an xgcd combination for the
-# least positive leading coefficient. Tests hold the package's echelon-based
-# solver to the same answers.
+# least positive leading coefficient. Tests hold the package's kernel chain
+# to the same lattices and answers.
 
 
 def integer_kernel_basis(rows, n_cols):

@@ -20,10 +20,9 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, RandomSpec,
                        reduce_complex, revised_one_block, row_cancellation,
                        sweep_accumulated, sweep_incremental, sweep_over_z)
 from connsweep.fixtures import FIX_FIG3L, FIX_FIG3R
-from connsweep.linalg import thaw
 from connsweep.verify import verify_block_runs, verify_trace
 from reference import (is_identity, kernel_problems, mat_eq, mat_mul, matrices,
-                       running_bases, transitions)
+                       running_bases, thaw, transitions)
 
 SURFACE_COUNT = 500
 TU_COUNT = 500

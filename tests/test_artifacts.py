@@ -22,8 +22,10 @@ from connsweep.fixtures import FIX_CB, FIX_FIG3R, FIX_SPHERE, FIX_TUCB, FIX_ZERO
 DIGESTS = os.path.join(os.path.dirname(__file__), "artifact_digests.json")
 
 # The fixtures, a small and a mid-size surface (m=64; its z run solves 15
-# kernel problems, up to c=16), and seeded random inputs whose sweeps make
-# change-of-basis marks (so z and accumulated change their bases).
+# kernel problems, up to c=16), seeded random inputs whose sweeps make
+# change-of-basis marks (so z and accumulated change their bases), and a
+# dense b=1 m=48 input whose z run solves 251 kernel problems, up to c=24,
+# all read off one kernel chain.
 INPUTS = {
     "zero": FIX_ZERO,
     "sphere": FIX_SPHERE,
@@ -39,6 +41,8 @@ INPUTS = {
     "random33": random_connection_matrix(RandomSpec(
         seed=33, m=10, b=3, style="scattered", density=0.7,
         values=tuple(range(-3, 4)))),
+    "dense48": random_connection_matrix(RandomSpec(
+        seed=7, m=48, b=1, density=0.6, values=tuple(range(-3, 4)))),
 }
 
 

@@ -4,13 +4,18 @@ from functools import reduce
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connsweep.linalg import (bareiss_det, clear_denominators, conjugate, echelon,
-                              exact_div, identity, integer_kernel_basis, norm,
-                              products, rank, reduce_mod_lattice, xgcd)
-from reference import invert_upper, is_identity, mat_mul, ops_product, sparse
+from connsweep import AlgorithmError, KernelProblem
+from connsweep.linalg import (bareiss_det, clear_denominators, conjugate, exact_div,
+                              kernel_chain, norm, products, rank, reduce_mod_lattice,
+                              xgcd)
+from connsweep.sweep_z import least_leading
+import reference
+from reference import (echelon, identity, invert_upper, is_identity, mat_mul,
+                       ops_product, sparse)
 
 
 def test_norm_and_exact_div():
@@ -64,27 +69,22 @@ def test_xgcd():
 
 
 def test_integer_kernel_basis_generates_whole_kernel():
+    """The whole-problem level of the kernel chain, kernel_chain(rows, n)[0],
+    is annulled by the rows, has n - rank vectors, and generates every
+    integer kernel vector, not a finite-index sublattice."""
     rng = random.Random(4)
     for _ in range(50):
         nr, nc = rng.randint(1, 4), rng.randint(1, 6)
         rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        basis = integer_kernel_basis(rows, nc)
+        basis = kernel_chain(rows, nc)[0]
         for vec in basis.values():
             assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
         assert len(basis) == nc - rank(rows)
-        # spot-check membership: small kernel vectors found by scanning must
-        # be integer combinations of the basis (solvia exact elimination)
+        # small kernel vectors found by scanning reduce to zero modulo it
         for _ in range(5):
             x = [rng.randint(-2, 2) for _ in range(nc)]
             if any(sum(a * v for a, v in zip(row, x)) for row in rows):
                 continue
-            work = [list(v) for v in basis.values()]
-            # solve sum c_i basis_i = x over the rationals, then check ints
-            aug = [[work[i][k] for i in range(len(work))] + [x[k]]
-                   for k in range(nc)]
-            r_basis = rank([row[:-1] for row in aug])
-            assert rank(aug) == r_basis  # solvable over Q
-            # integrality: reduce x by the basis lattice; must reach zero
             assert all(v == 0 for v in reduce_mod_lattice(x, basis))
 
 
@@ -102,14 +102,6 @@ def test_reduce_mod_lattice_canonical():
     assert reduce_mod_lattice([5 + 4, 7 - 9, 1], echelon(basis)) == [1, 1, 1]
 
 
-def _minors_gcd(vectors, k):
-    """gcd of the k x k minors of the matrix whose rows are vectors."""
-    width = range(len(vectors[0]) if vectors else 0)
-    return gcd(*(bareiss_det([[v[j] for j in cols] for v in rows])
-                 for rows in combinations(vectors, k)
-                 for cols in combinations(width, k)))
-
-
 def _reduces_to_zero(v, ech):
     """Whether v is an integer combination of the echelon vectors, read off
     pivot by pivot from the last."""
@@ -121,13 +113,22 @@ def _reduces_to_zero(v, ech):
     return not any(v)
 
 
+def _minors_gcd(vectors, k):
+    """gcd of the k x k minors of the matrix whose rows are vectors."""
+    width = range(len(vectors[0]) if vectors else 0)
+    return gcd(*(bareiss_det([[v[j] for j in cols] for v in rows])
+                 for rows in combinations(vectors, k)
+                 for cols in combinations(width, k)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda d: st.lists(
     st.lists(st.integers(-4, 4), min_size=d, max_size=d), max_size=5)))
 def test_echelon_is_a_basis_of_the_same_lattice(vectors):
-    """echelon's vectors pivot at distinct last nonzero coordinates, are as
-    many as the rank, generate every input vector, and have the inputs'
-    gcd of maximal minors, so they generate the inputs' lattice exactly."""
+    """reference.echelon, the oracle the kernel chain is held to, gives
+    vectors that pivot at distinct last nonzero coordinates, are as many as
+    the rank, generate every input vector, and have the inputs' gcd of
+    maximal minors, so they generate the inputs' lattice exactly."""
     ech = echelon(vectors)
     for p, e in ech.items():
         assert e[p] > 0 and not any(e[p + 1:])
@@ -135,6 +136,75 @@ def test_echelon_is_a_basis_of_the_same_lattice(vectors):
     k = rank(vectors)
     assert len(ech) == k
     assert _minors_gcd(list(ech.values()), k) == _minors_gcd(vectors, k)
+
+
+@st.composite
+def kernel_chain_inputs(draw):
+    """(rows, n): up to 5 rows of n <= 6 ints and fractions with denominator
+    <= 3, no rows at all among them, zero rows and duplicate rows too."""
+    n = draw(st.integers(1, 6))
+    value = st.builds(exact_div, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    row = st.lists(value, min_size=n, max_size=n) | st.just([0] * n)
+    rows = draw(st.lists(row, max_size=5))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    rows[draw(st.integers(0, len(rows) - 1))])
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_chain_inputs())
+def test_kernel_chain_is_an_echelon_basis_of_every_suffix_kernel(case):
+    """kernel_chain(rows, n)[p] pivots at distinct coordinates, positive and
+    with zeros past them, is annulled by rows[p:], and spans the lattice of
+    reference.integer_kernel_basis(rows[p:], n), which is built by another
+    elimination: each basis reduces the other's vectors to zero. Its pivots,
+    positions and values, are the lattice's, so they are those of
+    reference.echelon_kernel_basis, the one-echelon solve it replaced."""
+    rows, n = case
+    rows = clear_denominators(rows)
+    chain = kernel_chain(rows, n)
+    assert len(chain) == len(rows) + 1
+    for p, basis in enumerate(chain):
+        for q, e in basis.items():
+            assert len(e) == n and e[q] > 0 and not any(e[q + 1:])
+            assert all(sum(a * v for a, v in zip(row, e)) == 0 for row in rows[p:])
+        other = reference.integer_kernel_basis(rows[p:], n)
+        assert all(_reduces_to_zero(v, basis) for v in other)
+        assert all(_reduces_to_zero(v, echelon(other)) for v in basis.values())
+        pivots = {q: e[q] for q, e in reference.echelon_kernel_basis(rows[p:], n).items()}
+        assert {q: e[q] for q, e in basis.items()} == pivots
+
+
+def _reference_least(problem):
+    try:
+        return reference.solve_min_leading(problem)
+    except AlgorithmError:
+        return "infeasible"
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_chain_inputs())
+def test_chain_lookup_matches_reference_on_every_cut(case):
+    """Each level p of the chain answers every column j: the least-leading
+    vector of rows[p:] zero past j is the reference solver's on the problem
+    cut to columns 0..j, which is infeasible exactly where no vector of the
+    level pivots at j (least_leading then raises AlgorithmError); read off
+    reference.echelon_kernel_basis instead, the lookup gives the same."""
+    rows, n = case
+    chain = kernel_chain(clear_denominators(rows), n)
+    for p, basis in enumerate(chain):
+        other = reference.echelon_kernel_basis(clear_denominators(rows[p:]), n)
+        for j in range(n):
+            cut = KernelProblem(tuple(row[:j + 1] for row in rows[p:]), j + 1)
+            if j in basis:
+                least = least_leading(basis, j)
+                assert least[:j + 1] == _reference_least(cut) and not any(least[j + 1:])
+                assert least == least_leading(other, j)
+            else:
+                assert _reference_least(cut) == "infeasible"
+                with pytest.raises(AlgorithmError):
+                    least_leading(basis, j)
 
 
 # ints and small-denominator fractions, normalized like the matrices' values

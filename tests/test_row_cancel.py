@@ -13,10 +13,10 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        smale_cancellation_sweep, sweep_incremental,
                        betti_over_q)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.linalg import freeze, identity, thaw
+from connsweep.linalg import freeze
 from connsweep.verify import verify_block_runs, verify_trace
-from reference import (dense_of, is_identity, mat_mul, matrices, ops_product,
-                       reduction_steps, sparse, transitions)
+from reference import (dense_of, identity, is_identity, mat_mul, matrices, ops_product,
+                       reduction_steps, sparse, thaw, transitions)
 
 
 def pivots_of(trace):

@@ -8,10 +8,10 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
                        sweep_accumulated, sweep_incremental, sweep_over_z,
                        transition_ops)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_TUCB, FIX_ZERO
-from connsweep.linalg import freeze, identity, products, thaw
+from connsweep.linalg import freeze, products
 from connsweep.verify import verify_trace
-from reference import (invert_upper, is_identity, mat_mul, matrices, ops_product,
-                       running_bases, transitions)
+from reference import (identity, invert_upper, is_identity, mat_mul, matrices,
+                       ops_product, running_bases, thaw, transitions)
 
 
 def marks_of(trace):

@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError,
-                       InvalidMatrixError, KernelProblem, ConnectionMatrix, linalg,
-                       marks_on_diagonal, solve_min_leading, sweep_over_z, sweep_z)
+                       InvalidMatrixError, KernelProblem, ConnectionMatrix, RandomSpec,
+                       marks_on_diagonal, random_connection_matrix, solve_min_leading,
+                       sweep_over_z, sweep_z)
 from connsweep.fixtures import FIX_CB, FIX_SPHERE, FIX_ZERO
-from connsweep.linalg import (clear_denominators, echelon, exact_div,
-                              integer_kernel_basis, thaw)
+from connsweep.linalg import clear_denominators, exact_div, kernel_chain
 from connsweep.oracles import ilp_brute_force
 from connsweep.verify import verify_trace
 import reference
 from reference import (is_identity, kernel_problems, mat_mul, matrices, running_bases,
-                       solve_upper_dense)
+                       solve_upper_dense, thaw)
 
 
 def marks_of(trace):
@@ -92,34 +92,60 @@ def _solved(solve, problem):
 @settings(max_examples=400, deadline=None)
 @given(small_kernel_problems())
 def test_solve_min_leading_matches_reference(problem):
-    """The echelon-based solver returns what the gcd-scan solver it replaced
-    returns, vector for vector, and is infeasible exactly where it was."""
+    """The kernel-chain solver returns what the gcd-scan solver returns,
+    vector for vector, and is infeasible exactly where it is."""
     assert _solved(solve_min_leading, problem) == \
         _solved(reference.solve_min_leading, problem)
+
+
+def _recorded_chains(monkeypatch, matrix):
+    """The z trace of matrix and the (rows, n, chain) of each kernel_chain
+    its sweep builds."""
+    calls = []
+    real = sweep_z.kernel_chain
+
+    def recording(rows, n):
+        chain = real(rows, n)
+        calls.append((rows, n, chain))
+        return chain
+
+    monkeypatch.setattr(sweep_z, "kernel_chain", recording)
+    return sweep_over_z(matrix), calls
+
+
+def test_sweep_builds_one_chain_per_group(monkeypatch):
+    """Seven change-of-basis marks in three chain groups of a b=3 input take
+    three kernel chains, one per group's block, with every row of it."""
+    cm = random_connection_matrix(RandomSpec(
+        seed=10, m=20, b=3, density=0.7, values=tuple(range(-3, 4))))
+    trace, calls = _recorded_chains(monkeypatch, cm)
+    groups = [cm.chain_index(mk.position[1]) for mk in trace.registry.marks
+              if mk.kind == CHANGE_OF_BASIS]
+    assert len(groups) == 7 and len(set(groups)) == 3
+    assert sorted((len(rows), n) for rows, n, _ in calls) == sorted(
+        (len(cm.block(k)[0]), len(cm.block(k)[1])) for k in set(groups))
+
+
+def test_chain_entries_stay_small_on_a_dense_input(monkeypatch):
+    """Size reduction keeps every entry of every chain basis on a dense
+    b=1 m=80 input under 256 bits (about 106 are needed; an echelon of the
+    whole block problem reached 249 245)."""
+    cm = random_connection_matrix(RandomSpec(
+        seed=7, m=80, b=1, density=0.6, values=tuple(range(-3, 4))))
+    _, calls = _recorded_chains(monkeypatch, cm)
+    assert len(calls) == 1
+    bits = max(abs(v).bit_length() for _, _, chain in calls for basis in chain
+               for e in basis.values() for v in e)
+    assert bits < 256
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_kernel_problems())
 def test_integer_kernel_basis_is_in_echelon_form(problem):
-    """The kernel basis comes back as echelon's own form, so solving needs
-    no second echelon pass: echelon leaves it as it is."""
-    ech = integer_kernel_basis(clear_denominators(problem.a), problem.c)
-    assert echelon(list(ech.values())) == ech
-
-
-def test_solve_min_leading_runs_one_echelon(monkeypatch):
-    """One echelon pass per problem: the kernel basis's own."""
-    calls = []
-    real = linalg.echelon
-
-    def counted(vectors):
-        calls.append(vectors)
-        return real(vectors)
-
-    monkeypatch.setattr(linalg, "echelon", counted)
-    monkeypatch.setattr(sweep_z, "echelon", counted, raising=False)
-    assert solve_min_leading(KernelProblem(((1, 0, 2), (0, 1, -1)), 3)) == (-2, 1, 1)
-    assert len(calls) == 1
+    """Every level of the kernel chain comes back in echelon's own form, so
+    the lookup needs no echelon pass: echelon leaves each level as it is."""
+    for level in kernel_chain(clear_denominators(problem.a), problem.c):
+        assert reference.echelon(list(level.values())) == level
 
 
 def test_solve_min_leading_infeasible():

@@ -17,11 +17,11 @@ from connsweep import (CHANGE_OF_BASIS, PRIMARY, AlgorithmError, ConnectionMatri
                        sweep_over_z, sweep_z, verify)
 from connsweep.cmx import serialize_cmx
 from connsweep.fixtures import FIX_CB, FIX_SPHERE
-from connsweep.linalg import norm, thaw
+from connsweep.linalg import norm
 from connsweep.verify import verify_trace
 import reference
 from reference import (dense_check_verdicts, matrices, pivot_zeroed_verdicts,
-                       revised_column_verdicts, similarity_holds, with_matrices)
+                       revised_column_verdicts, similarity_holds, thaw, with_matrices)
 
 RUNNERS = {"z": sweep_over_z, "accumulated": sweep_accumulated,
            "incremental": sweep_incremental, "rowcancel": row_cancellation,
@@ -127,11 +127,11 @@ def test_verify_imports_no_sweep_module():
 
 
 def test_stored_non_minimal_leading_fails_kernel_check(monkeypatch):
-    """A solver that returns twice the minimal vector still yields a kernel
-    vector, so only the check reading the stored combination sees it."""
-    solve = sweep_z.solve_min_leading
-    monkeypatch.setattr(sweep_z, "solve_min_leading",
-                        lambda problem: tuple(2 * v for v in solve(problem)))
+    """A sweep whose lookup returns twice the minimal vector still stores a
+    kernel vector, so only the check reading the stored combination sees it."""
+    least = sweep_z.least_leading
+    monkeypatch.setattr(sweep_z, "least_leading",
+                        lambda basis, j: tuple(2 * v for v in least(basis, j)))
     trace = sweep_over_z(FIX_CB)
     monkeypatch.undo()
     checks = verify_trace(trace)
